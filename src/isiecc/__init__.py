@@ -3,18 +3,19 @@ with an absorbing-receiver diffusion channel model and experiment harness."""
 
 __version__ = "0.1.0"
 
-from .bits import bits_to_str, hamming_distance, parse_bits
+from .bits import bits_to_str, parse_bits
 from .codebook import (
     Codebook,
     CodeSpec,
     RateDesign,
     build_codebook,
-    codeword_isi_bound,
     density_profile,
     design_for_rate,
     export_codebook_csv,
     message_matrix,
     parity_weight_cap,
+    rank_in_weight_class,
+    unrank_in_weight_class,
     verify_min_distance,
     weight_class_matrix,
 )
@@ -26,14 +27,13 @@ from .codec import (
     encode,
     post_encode,
     pre_decode,
-    rank_in_weight_class,
-    unrank_in_weight_class,
 )
 from .channel import (
     ChannelParams,
     ReceivedFrame,
     SlotProfile,
     calibrate_threshold,
+    codeword_isi_bound,
     detect,
     expected_isi,
     hitting_prob,
@@ -49,10 +49,7 @@ from .harness import (
     ExperimentConfig,
     TrialReport,
     make_coder,
-    repetition3_decode,
-    repetition3_encode,
-    run_ber_vs_molecules,
-    run_ber_vs_noise,
+    run_ber_experiment,
     run_isi_experiment,
     write_report,
 )

@@ -32,18 +32,6 @@ def as_bits(bits) -> np.ndarray:
     return arr
 
 
-def bit_weight(bits) -> int:
-    return int(np.asarray(bits).sum())
-
-
-def hamming_distance(a, b) -> int:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError("sequences must have equal length")
-    return int((a != b).sum())
-
-
 def decimal_value(bits) -> int:
     """Decimal value of a bit sequence, leftmost bit most significant."""
     v = 0

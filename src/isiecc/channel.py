@@ -135,32 +135,33 @@ def _probs(profile) -> np.ndarray:
     return np.asarray(getattr(profile, "p", profile), dtype=np.float64)
 
 
+def _interference(history, p: np.ndarray) -> float:
+    """Interference on the slot after `history` (0/1 bits or densities, most
+    recent last): the bit g slots back weighs p_{g+1}, for g = 1 .. L-1."""
+    h = np.asarray(history, dtype=np.float64)
+    if h.size >= p.size:
+        raise ValueError(f"{h.size} earlier slots reach beyond the channel memory L={p.size}")
+    return float(h[::-1] @ p[1 : h.size + 1])
+
+
 def isi_of_sequence(word, i: int, profile) -> float:
     """Interference hitting position i of one word from its earlier 1s,
-    summed as c_l * p_{i-l+1} over l < i."""
+    summed as c_l * p_{i-l+1} over l < i.  Per-position densities in place
+    of bits give the expected interference."""
     c = np.asarray(word)
     p = _probs(profile)
     if not (1 <= i <= c.size):
         raise ValueError(f"position {i} outside 1..{c.size}")
     if c.size > p.size:
         raise ValueError("word longer than the channel memory")
-    if i == 1:
-        return 0.0
-    lags = c[i - 2 :: -1].astype(np.float64)  # positions i-1 down to 1
-    return float(lags @ p[1 : i])
+    return _interference(c[: i - 1], p)
 
 
 def expected_isi(words, i: int, profile) -> float:
     """Average of isi_of_sequence over a set of words (rows of a matrix or a
     Codebook; pass transmitted forms to evaluate the swapped code)."""
     mat = words.codewords if isinstance(words, Codebook) else np.atleast_2d(np.asarray(words))
-    dens = mat.mean(axis=0)
-    p = _probs(profile)
-    if not (1 <= i <= mat.shape[1]):
-        raise ValueError(f"position {i} outside 1..{mat.shape[1]}")
-    if i == 1:
-        return 0.0
-    return float(dens[i - 2 :: -1] @ p[1 : i])
+    return isi_of_sequence(mat.mean(axis=0), i, profile)
 
 
 def streaming_expected_isi(densities, position: int, profile) -> float:
@@ -173,18 +174,34 @@ def streaming_expected_isi(densities, position: int, profile) -> float:
     n = dens.size
     if not (1 <= position <= n):
         raise ValueError(f"position {position} outside 1..{n}")
-    total = 0.0
-    for g in range(1, p.size):
-        total += dens[(position - g - 1) % n] * p[g]
-    return total
+    return _interference(dens[(position - 1 - np.arange(p.size - 1, 0, -1)) % n], p)
 
 
 def stream_average_isi(densities, profile) -> float:
     """Per-slot expected interference of the streamed code, averaged over the
     codeword period; proportional to the code's average bit-1 density."""
-    dens = np.asarray(densities, dtype=np.float64)
+    n = np.asarray(densities).size
+    return math.fsum(streaming_expected_isi(densities, i, profile) for i in range(1, n + 1)) / n
+
+
+def codeword_isi_bound(codeword, profile, max_parity_weight: int, message_len: int) -> bool:
+    """Check that the coding overhead of one codeword stays within the design
+    ISI budget.
+
+    At every position, the interference contributed by the parity section
+    (positions beyond message_len) must not exceed the interference that a
+    run of max_parity_weight 1s immediately before the last position would
+    cause, which is the worst arrangement a weight-capped parity allows.
+    """
     p = _probs(profile)
-    return float(dens.mean() * p[1:].sum())
+    parity = np.array(codeword, dtype=np.float64)
+    if parity.size > p.size:
+        raise ValueError("codeword longer than the slot profile")
+    parity[:message_len] = 0
+    budget = _interference(np.ones(max_parity_weight), p)  # p_2 + ... + p_{cap+1}
+    return all(
+        _interference(parity[: i - 1], p) <= budget + 1e-12 for i in range(2, parity.size + 1)
+    )
 
 
 def swap_gain(code: Codebook | CodeSpec, profile, t: int) -> float:
@@ -242,6 +259,16 @@ def transmit_counts(
     return counts[:S]
 
 
+def _observe(tx_bits: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
+    """Slot observations of a transmit pattern sent after L silent warm-up
+    slots, which are excluded, with Gaussian noise of variance sigma_n2."""
+    L = params.L
+    counts = transmit_counts(np.concatenate([np.zeros(L, dtype=np.uint8), tx_bits]), params, rng)
+    if params.sigma_n2 > 0:
+        counts = counts + rng.normal(0.0, math.sqrt(params.sigma_n2), size=counts.size)
+    return counts[L:]
+
+
 def simulate_stream(
     messages,
     coder,
@@ -262,13 +289,7 @@ def simulate_stream(
     if msgs.shape[1] != coder.message_len:
         raise ValueError(f"messages must have {coder.message_len} bits each")
     rng = np.random.default_rng(rng_seed)
-    words = coder.encode(msgs)
-    L = params.L
-    tx = np.concatenate([np.zeros(L, dtype=np.uint8), words.reshape(-1)])
-    counts = transmit_counts(tx, params, rng)
-    if params.sigma_n2 > 0:
-        counts = counts + rng.normal(0.0, math.sqrt(params.sigma_n2), size=counts.size)
-    counts = counts[L:]
+    counts = _observe(coder.encode(msgs).reshape(-1), params, rng)
     decisions = detect(counts, threshold) if threshold is not None else None
     return ReceivedFrame(counts=counts, decisions=decisions)
 
@@ -289,14 +310,8 @@ def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> f
     if peak <= 0:
         raise ValueError("cannot calibrate with M * p_1 = 0")
     rng = np.random.default_rng(rng_seed)
-    L = params.L
-    bits = np.concatenate(
-        [np.zeros(L, dtype=np.uint8), rng.integers(0, 2, size=pilot_length, dtype=np.uint8)]
-    )
-    counts = transmit_counts(bits, params, rng)
-    if params.sigma_n2 > 0:
-        counts = counts + rng.normal(0.0, math.sqrt(params.sigma_n2), size=counts.size)
-    counts, sent = counts[L:], bits[L:]
+    sent = rng.integers(0, 2, size=pilot_length, dtype=np.uint8)
+    counts = _observe(sent, params, rng)
     grid = np.linspace(0.0, 2.0 * peak, 256)
     on = np.sort(counts[sent == 1])
     off = np.sort(counts[sent == 0])

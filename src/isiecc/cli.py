@@ -30,8 +30,7 @@ from .harness import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_PILOT_SLOTS,
     ExperimentConfig,
-    run_ber_vs_molecules,
-    run_ber_vs_noise,
+    run_ber_experiment,
     run_isi_experiment,
     write_report,
 )
@@ -154,10 +153,8 @@ def _run(args) -> int:
 
     if args.command == "isi":
         report = run_isi_experiment(_experiment_config(args))
-    elif args.command == "ber-m":
-        report = run_ber_vs_molecules(_experiment_config(args, args.sweep))
     else:
-        report = run_ber_vs_noise(_experiment_config(args, args.sweep))
+        report = run_ber_experiment(_experiment_config(args, args.sweep), args.command)
     write_report(report, args.out)
     print(f"wrote {args.out} ({len(report.rows)} rows, {report.wall_clock_s:.1f}s)")
     return 0

@@ -24,7 +24,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .bits import bits_to_str
+from .bits import as_bits, bits_to_str
 
 # Practical caps keeping matrix construction in memory; raise explicitly if
 # larger codes are ever needed.
@@ -60,46 +60,110 @@ class CodeSpec:
         return Fraction(self.k, self.n)
 
 
-def message_matrix(k: int) -> np.ndarray:
-    """All k-bit words as rows, decimal value strictly decreasing.
+def value_bits(values, width: int) -> np.ndarray:
+    """Rows of `width` bits, most significant first, one row per value.
 
-    Built by the doubling recursion: prepend a 1-column to the previous
-    matrix, then a 0-column, and stack.  Row r (1-based) has value 2^k - r.
+    Filled one column at a time, so no (rows x width) int64 temporary exists.
     """
+    values = np.asarray(values, dtype=np.int64)
+    out = np.empty((values.size, width), dtype=np.uint8)
+    for j in range(width):
+        out[:, j] = (values >> (width - 1 - j)) & 1
+    return out
+
+
+def message_matrix(k: int) -> np.ndarray:
+    """All k-bit words as rows, decimal value strictly decreasing: row r
+    (1-based) has value 2^k - r."""
     if not (isinstance(k, int) and 1 <= k <= MAX_K):
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-    mat = np.array([[1], [0]], dtype=np.uint8)
-    for _ in range(k - 1):
-        ones = np.ones((mat.shape[0], 1), dtype=np.uint8)
-        zeros = np.zeros((mat.shape[0], 1), dtype=np.uint8)
-        mat = np.vstack([np.hstack([ones, mat]), np.hstack([zeros, mat])])
-    return mat
+    return value_bits(np.arange((1 << k) - 1, -1, -1), k)
+
+
+def _class_starts(m: int) -> np.ndarray:
+    """Stack row where each weight class of m-bit words starts (index m + 1
+    is the stack length 2^m)."""
+    return np.concatenate([[0], np.cumsum([math.comb(m, i) for i in range(m + 1)])])
+
+
+def _ones_blocks(m: int) -> np.ndarray:
+    """Entry [rest, w] = C(rest, w - 1): how many words of weight w on rest + 1
+    bits start with a 1 (none for w = 0)."""
+    return np.array(
+        [[math.comb(rest, w - 1) if w else 0 for w in range(m + 1)] for rest in range(m)],
+        dtype=np.int64,
+    )
+
+
+def unrank_stack(rows, m: int) -> np.ndarray:
+    """m-bit words at 0-based rows of the weight-stacked list: every word of
+    weight 0, then weight 1, and so on, each weight class in decreasing
+    decimal order.
+
+    All rows move together, one bit column at a time: a row takes a 1 when
+    its in-class rank falls inside the block of words with a 1 there, else it
+    skips that block.
+    """
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    if rows.size and not (0 <= rows.min() and rows.max() < 1 << m):
+        raise ValueError(f"stack rows must lie in [0, 2^{m})")
+    starts = _class_starts(m)
+    ones = _ones_blocks(m)
+    weight = np.searchsorted(starts, rows, side="right") - 1
+    rank = rows - starts[weight]
+    out = np.empty((rows.size, m), dtype=np.uint8)
+    for j in range(m):
+        block = ones[m - 1 - j, weight]
+        bit = rank < block
+        out[:, j] = bit
+        rank -= np.where(bit, 0, block)
+        weight -= bit
+    return out
+
+
+def rank_stack(words) -> np.ndarray:
+    """0-based rows of m-bit words in the weight-stacked list, the inverse of
+    unrank_stack: each 0 met while weight remains skips the block of words
+    with a 1 in that position."""
+    words = np.asarray(words)
+    m = words.shape[1]
+    ones = _ones_blocks(m)
+    weight = words.sum(axis=1, dtype=np.int64)
+    rows = _class_starts(m)[weight]
+    for j in range(m):
+        bit = words[:, j]
+        rows += np.where(bit, 0, ones[m - 1 - j, weight])
+        weight -= bit
+    return rows
 
 
 def weight_class_matrix(m: int, i: int) -> np.ndarray:
-    """All m-bit words of weight i as rows, decimal value strictly decreasing.
-
-    Recursive construction: rows starting with 1 carry the weight-(i-1)
-    classes of length m-1, rows starting with 0 carry the weight-i classes.
-    """
+    """All m-bit words of weight i as rows, decimal value strictly decreasing:
+    the weight-i slice of the stack."""
     if not (isinstance(m, int) and isinstance(i, int)):
         raise ValueError("m and i must be integers")
     if not (0 <= i <= m):
         raise ValueError(f"weight i must satisfy 0 <= i <= m, got i={i}, m={m}")
     if m > MAX_M or math.comb(m, i) > _MAX_CLASS_ROWS:
         raise ValueError(f"refusing to materialize {math.comb(m, i)} rows for (m={m}, i={i})")
-    if i == 0:
-        return np.zeros((1, m), dtype=np.uint8)
-    if i == m:
-        return np.ones((1, m), dtype=np.uint8)
-    top = weight_class_matrix(m - 1, i - 1)
-    bottom = weight_class_matrix(m - 1, i)
-    return np.vstack(
-        [
-            np.hstack([np.ones((top.shape[0], 1), dtype=np.uint8), top]),
-            np.hstack([np.zeros((bottom.shape[0], 1), dtype=np.uint8), bottom]),
-        ]
-    )
+    start = int(_class_starts(m)[i])
+    return unrank_stack(np.arange(start, start + math.comb(m, i)), m)
+
+
+def rank_in_weight_class(p, m: int, i: int) -> int:
+    """1-based row of an m-bit weight-i word inside its class: its stack row
+    less the rows of the lighter classes."""
+    bits = as_bits(p)
+    if bits.size != m or int(bits.sum()) != i:
+        raise ValueError(f"expected {m} bits of weight {i}, got {bits_to_str(bits)}")
+    return int(rank_stack(bits[None, :])[0] - _class_starts(m)[i]) + 1
+
+
+def unrank_in_weight_class(r: int, m: int, i: int) -> np.ndarray:
+    """Row r (1-based) of the weight-i class of length m."""
+    if not (0 <= i <= m and 1 <= r <= math.comb(m, i)):
+        raise ValueError(f"row {r} outside [1, C({m},{i})] or weight {i} outside [0, {m}]")
+    return unrank_stack([_class_starts(m)[i] + r - 1], m)[0]
 
 
 def parity_weight_cap(k: int, m: int) -> int:
@@ -116,35 +180,16 @@ def parity_weight_cap(k: int, m: int) -> int:
         tau += 1
 
 
-def unrank_weight_class(r: int, m: int, i: int) -> np.ndarray:
-    """Row r (1-based) of the weight-i class of length m, without building it."""
-    if not (0 <= i <= m):
-        raise ValueError(f"weight i must satisfy 0 <= i <= m, got i={i}, m={m}")
-    if not (1 <= r <= math.comb(m, i)):
-        raise ValueError(f"row index {r} outside [1, C({m},{i})]")
-    bits = np.zeros(m, dtype=np.uint8)
-    w = i
-    for j in range(m):
-        rest = m - j - 1
-        ones_block = math.comb(rest, w - 1) if w >= 1 else 0
-        if w >= 1 and r <= ones_block:
-            bits[j] = 1
-            w -= 1
-        else:
-            r -= ones_block
-    return bits
-
-
-def parity_rows(k: int, m: int) -> np.ndarray:
-    """First 2^k rows of the stacked weight classes (weights 0, 1, ... in
-    order), the last class truncated where the stack reaches 2^k rows."""
-    tau = parity_weight_cap(k, m)
-    need = 1 << k
-    blocks = [weight_class_matrix(m, i) for i in range(tau)]
-    have = sum(b.shape[0] for b in blocks)
-    remaining = need - have
-    tail = np.vstack([unrank_weight_class(r, m, tau) for r in range(1, remaining + 1)])
-    return np.vstack(blocks + [tail])
+def stack_codewords(rows, spec: CodeSpec) -> np.ndarray:
+    """Codewords at 0-based codebook rows: message value 2^k - 1 - row, the
+    row's parity body, and the extra bit (1 when the body weight is even)."""
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    k, m = spec.k, spec.m
+    words = np.empty((rows.size, spec.n), dtype=np.uint8)
+    words[:, :k] = value_bits(spec.size - 1 - rows, k)
+    words[:, k : k + m] = unrank_stack(rows, m)
+    words[:, -1] = 1 - words[:, k : k + m].sum(axis=1) % 2
+    return words
 
 
 @dataclass(frozen=True)
@@ -171,12 +216,7 @@ class Codebook:
 
 def build_codebook(k: int, m: int) -> Codebook:
     spec = CodeSpec.for_params(k, m)
-    msg = message_matrix(k)
-    parity = parity_rows(k, m)
-    # extra bit: 1 when the parity-body weight is even
-    weights = parity.sum(axis=1) % 2
-    extra = (1 - weights).astype(np.uint8).reshape(-1, 1)
-    words = np.hstack([msg, parity, extra])
+    words = stack_codewords(np.arange(spec.size), spec)
     words.setflags(write=False)
     col = tuple(int(c) for c in words.sum(axis=0, dtype=np.int64))
     return Codebook(spec=spec, codewords=words, column_weights=col)
@@ -244,41 +284,6 @@ def design_for_rate(epsilon, k_max: int) -> RateDesign:
             continue
         found.append((k, m, tau))
     return RateDesign(epsilon=eps, candidates=tuple(found))
-
-
-def _profile_array(profile) -> np.ndarray:
-    p = getattr(profile, "p", profile)
-    return np.asarray(p, dtype=np.float64)
-
-
-def codeword_isi_bound(codeword, profile, max_parity_weight: int, message_len: int) -> bool:
-    """Check that the coding overhead of one codeword stays within the design
-    ISI budget.
-
-    At every position i, the interference contributed by the parity section
-    (positions beyond message_len) must not exceed the interference that a
-    run of max_parity_weight 1s immediately before the last position would
-    cause, which is the worst arrangement a weight-capped parity allows.
-    """
-    c = np.asarray(codeword)
-    p = _profile_array(profile)
-    n = c.size
-    if n > p.size:
-        raise ValueError("codeword longer than the slot profile")
-    budget = float(p[1 : max_parity_weight + 1].sum())  # p_2 + ... + p_{cap+1}
-    for i in range(2, n + 1):
-        lo = message_len  # 0-based start of parity section
-        contrib = sum(float(p[i - l]) for l in range(lo + 1, i) if c[l - 1])
-        if contrib > budget + 1e-12:
-            return False
-    return True
-
-
-def reference_isi_budget(profile, max_parity_weight: int) -> float:
-    """Interference at the last position of [0...0 1^cap 0], the worst-case
-    parity arrangement used as the rate-design budget."""
-    p = _profile_array(profile)
-    return float(p[1 : max_parity_weight + 1].sum())
 
 
 def export_codebook_csv(codebook: Codebook, out: TextIO) -> None:

@@ -1,11 +1,13 @@
 """Encoder and decoder for the weight-stacked codes, plus the transmit-side
 bit swap that spreads consecutive 1s before a word enters the channel.
 
-Encoding never materializes the codebook: the message value selects a weight
-class and a row inside it, and the row is unranked combinatorially in O(m).
-Decoding inverts the swap, recomputes the weight-parity bit, and either
-recovers the message from the parity section (message bit in error, or no
-error) or returns the received message bits verbatim (parity in error).
+Both directions are one rule over word matrices: the message value selects a
+codebook row, whose parity body is unranked from the weight-stacked list, and
+decoding ranks the received parity body back to a row.  Decoding inverts the
+swap, recomputes the weight-parity bit, and either recovers the message from
+the parity section (message bit in error, or no error) or returns the
+received message bits verbatim (parity in error).  The single-word encode()
+and decode() are one-row calls into the same functions.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits
-from .codebook import Codebook, CodeSpec, message_matrix, unrank_weight_class
+from .bits import as_bits, decimal_value
+from .codebook import Codebook, CodeSpec, rank_stack, stack_codewords, value_bits
 
 
 def swap_pairs(k: int) -> tuple[tuple[int, int], ...]:
@@ -64,30 +66,6 @@ def pre_decode(word, spec: CodeSpec) -> np.ndarray:
     return post_encode(word, spec)
 
 
-def rank_in_weight_class(p, m: int, i: int) -> int:
-    """1-based row index of an m-bit weight-i word inside its class, counting
-    in decreasing decimal order.  Inverse of unrank; O(m)."""
-    bits = as_bits(p) if not isinstance(p, np.ndarray) else p
-    if bits.size != m:
-        raise ValueError(f"expected {m} bits, got {bits.size}")
-    if int(bits.sum()) != i:
-        raise ValueError(f"word has weight {int(bits.sum())}, expected {i}")
-    r = 1
-    w = i
-    for j in range(m):
-        rest = m - j - 1
-        if bits[j]:
-            w -= 1
-        elif w >= 1:
-            r += math.comb(rest, w - 1)
-    return r
-
-
-def unrank_in_weight_class(r: int, m: int, i: int) -> np.ndarray:
-    """Row r of the weight-i class of length m (decreasing decimal order)."""
-    return unrank_weight_class(r, m, i)
-
-
 @dataclass(frozen=True)
 class EncodedWord:
     """A codeword before (raw) and after (transmitted) the transmit swaps."""
@@ -97,62 +75,39 @@ class EncodedWord:
 
 
 def encode(u, spec: CodeSpec) -> EncodedWord:
-    """Encode k message bits into a codeword and its transmitted form.
-
-    The message value msg_dec = 2^k - decimal(u) picks the codebook row; the
-    binomial sandwich locates its weight class i and in-class row r, unranked
-    without building any matrix.  The extra bit is 1 when i is even.
-    """
+    """Encode k message bits into a codeword and its transmitted form: the
+    codebook row 2^k - 1 - decimal(u), unranked without building the codebook."""
     bits = as_bits(u)
-    k, m = spec.k, spec.m
-    if bits.size != k:
-        raise ValueError(f"expected {k} message bits, got {bits.size}")
-    dec = 0
-    for b in bits:
-        dec = (dec << 1) | int(b)
-    msg_dec = (1 << k) - dec
-    if msg_dec == 0:
-        # unreachable for k-bit input (msg_dec is in [1, 2^k]); defensive
-        i, body = 0, np.zeros(m, dtype=np.uint8)
-    else:
-        i, below = 0, 0
-        while msg_dec > below + math.comb(m, i):
-            below += math.comb(m, i)
-            i += 1
-        body = unrank_in_weight_class(msg_dec - below, m, i)
-    extra = np.uint8(0 if i % 2 == 1 else 1)
-    raw = np.concatenate([bits, body, [extra]])
+    if bits.size != spec.k:
+        raise ValueError(f"expected {spec.k} message bits, got {bits.size}")
+    raw = stack_codewords([spec.size - 1 - decimal_value(bits)], spec)[0]
     return EncodedWord(raw=raw, transmitted=post_encode(raw, spec))
 
 
-def decode(word, spec: CodeSpec) -> np.ndarray:
-    """Decode a received (transmitted-form) word back to k message bits.
+def _decode_unswapped(v: np.ndarray, spec: CodeSpec) -> np.ndarray:
+    """Message bits of unswapped received words, one per row.
 
-    After undoing the swaps, the parity-body weight determines the expected
-    extra bit.  If the received extra bit agrees, the parity section is taken
-    as error free and the message is recovered from its row index; otherwise
-    the error sits in the parity section and the message bits pass through.
-    Any single bit error is corrected.  Row indices outside the codebook,
-    possible only with two or more errors, also fall back to the message bits.
+    When the extra bit agrees with the parity-body weight and the body ranks
+    inside the codebook, the message is recovered from that row; otherwise
+    the error sits in the parity section, or there are two or more errors,
+    and the received message bits pass through.  Any single bit error is
+    corrected.
     """
-    v = pre_decode(word, spec)
     k, m = spec.k, spec.m
-    u = v[:k]
-    body = v[k : k + m]
-    received_extra = int(v[-1])
-    i = int(body.sum())
-    expected_extra = 0 if i % 2 == 1 else 1
-    if received_extra != expected_extra or i > spec.max_parity_weight:
-        return u.copy()
-    q = rank_in_weight_class(body, m, i) + sum(math.comb(m, j) for j in range(i))
-    if q > spec.size:
-        return u.copy()
-    val = spec.size - q
-    return np.array([(val >> (k - 1 - j)) & 1 for j in range(k)], dtype=np.uint8)
+    body = v[:, k : k + m]
+    rows = rank_stack(body)
+    consistent = v[:, -1] != body.sum(axis=1) % 2
+    valid = consistent & (rows < spec.size)
+    return np.where(valid[:, None], value_bits(spec.size - 1 - rows, k), v[:, :k])
+
+
+def decode(word, spec: CodeSpec) -> np.ndarray:
+    """Decode a received (transmitted-form) word back to k message bits."""
+    return _decode_unswapped(pre_decode(word, spec)[None, :], spec)[0]
 
 
 class BatchCodec:
-    """Vectorized table-based encoder and decoder over word matrices.
+    """Vectorized encoder and decoder over word matrices.
 
     Encoding is a row lookup in the materialized codebook; decoding runs the
     same recover-or-passthrough rule as decode() across all words at once.
@@ -166,16 +121,6 @@ class BatchCodec:
         perm = SwapSchedule.for_spec(spec).permutation()
         self._perm = perm if post_encoding else np.arange(spec.n)
         self._table = codebook.codewords[:, self._perm]
-        self._untable = message_matrix(spec.k)
-        m = spec.m
-        comb = np.zeros((m + 1, m + 1), dtype=np.int64)
-        for a in range(m + 1):
-            for b in range(a + 1):
-                comb[a, b] = math.comb(a, b)
-        self._comb = comb
-        self._below = np.concatenate(
-            [[0], np.cumsum([math.comb(m, j) for j in range(m + 1)])]
-        )
 
     @property
     def message_len(self) -> int:
@@ -190,32 +135,11 @@ class BatchCodec:
         if msgs.ndim != 2 or msgs.shape[1] != k:
             raise ValueError(f"expected shape (N, {k})")
         dec = (msgs.astype(np.int64) << np.arange(k - 1, -1, -1)).sum(axis=1)
-        rows = self.spec.size - 1 - dec  # msg_dec - 1
+        rows = self.spec.size - 1 - dec
         return self._table[rows]
 
     def decode(self, words: np.ndarray) -> np.ndarray:
         spec = self.spec
-        k, m = spec.k, spec.m
         if words.ndim != 2 or words.shape[1] != spec.n:
             raise ValueError(f"expected shape (N, {spec.n})")
-        v = words[:, self._perm]
-        u = v[:, :k]
-        body = v[:, k : k + m].astype(np.int64)
-        i = body.sum(axis=1)
-        expected_extra = 1 - (i % 2)
-        consistent = v[:, -1].astype(np.int64) == expected_extra
-        # in-class rank, all rows at once: skipped rows accumulate wherever a
-        # 0 appears while weight remains to place
-        ones_before = np.cumsum(body, axis=1) - body
-        w_rem = i[:, None] - ones_before
-        rest = m - 1 - np.arange(m)
-        skip = np.where(
-            (body == 0) & (w_rem >= 1),
-            self._comb[np.broadcast_to(rest, body.shape), np.clip(w_rem - 1, 0, m)],
-            0,
-        )
-        q = 1 + skip.sum(axis=1) + self._below[np.minimum(i, m)]
-        valid = consistent & (i <= spec.max_parity_weight) & (q <= spec.size)
-        rows = np.where(valid, q - 1, 0)
-        recovered = self._untable[rows]
-        return np.where(valid[:, None], recovered, u).astype(np.uint8)
+        return _decode_unswapped(words[:, self._perm], spec)

@@ -3,7 +3,8 @@
 Two baselines are built in: uncoded transmission and the rate-1/3 repetition
 code with majority decoding (the distance-3 single error corrector of length
 3).  Other published comparison codes live in external references and are
-intentionally not reimplemented here.
+intentionally not reimplemented here.  Every code, baseline or proposed, is a
+StreamCoder, so the experiments never ask which one they hold.
 
 Every run is reproducible: trials are partitioned into fixed-size blocks,
 each block draws its messages and channel randomness from a generator seeded
@@ -26,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .bits import as_bits
 from .channel import (
     ChannelParams,
     calibrate_threshold,
@@ -35,27 +35,26 @@ from .channel import (
     slot_probs,
     transmit_counts,
 )
-from .codebook import build_codebook
+from .codebook import build_codebook, message_matrix
 from .codec import BatchCodec
 
 DEFAULT_BLOCK_SIZE = 25_000
 DEFAULT_PILOT_SLOTS = 200_000
 
 
-def repetition3_encode(bits) -> np.ndarray:
-    """Repeat every bit three times."""
-    return np.repeat(as_bits(bits), 3)
+class StreamCoder:
+    """What the experiments ask of a code: encode and decode word matrices
+    (message_len bits in, block_len slots out), the words it puts on the
+    channel, and its post_encoding CSV label."""
+
+    post_encoding_label = "na"
+
+    def transmitted_words(self) -> np.ndarray:
+        """Every word as it appears on the channel, one per message."""
+        return self.encode(message_matrix(self.message_len))
 
 
-def repetition3_decode(bits) -> np.ndarray:
-    """Majority vote per triple; input length must be a multiple of 3."""
-    arr = as_bits(bits)
-    if arr.size % 3 != 0:
-        raise ValueError(f"length {arr.size} is not a multiple of 3")
-    return (arr.reshape(-1, 3).sum(axis=1) >= 2).astype(np.uint8)
-
-
-class UncodedStream:
+class UncodedStream(StreamCoder):
     """Pass-through coder: one slot per message bit."""
 
     label = "uncoded"
@@ -69,43 +68,32 @@ class UncodedStream:
         return words
 
 
-class Repetition3Stream:
-    """Rate-1/3 repetition coder over one message bit per word."""
+class Repetition3Stream(StreamCoder):
+    """Rate-1/3 repetition coder over one message bit per word: every bit is
+    sent three times and decoded by majority vote per triple."""
 
     label = "rep3"
     message_len = 1
     block_len = 3
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
-        return np.repeat(msgs, 3, axis=1)
+        return np.repeat(msgs, 3, axis=-1)
 
     def decode(self, words: np.ndarray) -> np.ndarray:
-        return (words.sum(axis=1, keepdims=True) >= 2).astype(np.uint8)
+        """Majority vote per triple; a flat input's length must be a multiple of 3."""
+        return (words.reshape(-1, 3).sum(axis=1, keepdims=True) >= 2).astype(np.uint8)
 
 
-class CkmStreamCode:
+class CkmStreamCode(StreamCoder, BatchCodec):
     """Proposed code wrapped for streaming, transmit swaps on by default."""
 
     def __init__(self, k: int, m: int, post_encoding: bool = True):
-        self.codebook = build_codebook(k, m)
-        self.post_encoding = post_encoding
-        self._codec = BatchCodec(self.codebook, post_encoding=post_encoding)
+        super().__init__(build_codebook(k, m), post_encoding=post_encoding)
         self.label = f"ckm:{k},{m}"
-        self.message_len = k
-        self.block_len = self.codebook.spec.n
-
-    def encode(self, msgs: np.ndarray) -> np.ndarray:
-        return self._codec.encode(msgs)
-
-    def decode(self, words: np.ndarray) -> np.ndarray:
-        return self._codec.decode(words)
-
-    def transmitted_words(self) -> np.ndarray:
-        """The 2^k words as they appear on the channel."""
-        return self._codec.encode(self.codebook.message_bits)
+        self.post_encoding_label = "true" if post_encoding else "false"
 
 
-def make_coder(label: str, post_encoding: bool = True):
+def make_coder(label: str, post_encoding: bool = True) -> StreamCoder:
     """Build a coder from its CLI label: ckm:K,M, uncoded, or rep3."""
     if label == "uncoded":
         return UncodedStream()
@@ -113,10 +101,10 @@ def make_coder(label: str, post_encoding: bool = True):
         return Repetition3Stream()
     if label.startswith("ckm:"):
         try:
-            k_str, m_str = label[4:].split(",")
-            return CkmStreamCode(int(k_str), int(m_str), post_encoding=post_encoding)
+            k, m = (int(part) for part in label[4:].split(","))
         except ValueError as exc:
             raise ValueError(f"bad code label {label!r}; expected ckm:K,M") from exc
+        return CkmStreamCode(k, m, post_encoding=post_encoding)
     raise ValueError(f"unknown code label {label!r}")
 
 
@@ -208,15 +196,16 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
     t0 = time.monotonic()
     params = config.channel
     profile = slot_probs(params)
+    coders = [make_coder(label, post_encoding=config.post_encoding) for label in config.codes]
+    for coder in coders:
+        if coder.block_len > params.L:
+            raise ValueError(
+                f"code {coder.label} has n={coder.block_len} slots, more than the"
+                f" channel memory L={params.L}; the isi experiment needs n <= L"
+            )
     rows = []
-    for label in config.codes:
-        coder = make_coder(label, post_encoding=config.post_encoding)
-        if isinstance(coder, CkmStreamCode):
-            words = coder.transmitted_words()
-        elif isinstance(coder, Repetition3Stream):
-            words = np.array([[0, 0, 0], [1, 1, 1]], dtype=np.uint8)
-        else:
-            words = np.array([[0], [1]], dtype=np.uint8)
+    for coder in coders:
+        words = coder.transmitted_words()
         mc = _isi_mc_profile(coder, params, config.trials, config.seed)
         for pos in range(1, coder.block_len + 1):
             rows.append(
@@ -283,20 +272,26 @@ def ber_point(
     return errors, bits, threshold
 
 
-def _ber_rows(config: ExperimentConfig, sweep_kind: str) -> list[dict]:
-    params = config.channel
+# BER experiment kind -> the channel at one sweep value
+BER_SWEEPS = {
+    "ber-m": ChannelParams.with_molecules,
+    "ber-noise": ChannelParams.with_noise,
+}
+
+
+def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
+    """BER per code over the sweep of one BER_SWEEPS kind: molecules per
+    1-bit with noise held fixed ("ber-m"), or noise variance with M held
+    fixed ("ber-noise")."""
+    t0 = time.monotonic()
+    at_value = BER_SWEEPS[kind]
+    if not config.sweep:
+        raise ValueError(f"{kind} needs a non-empty sweep")
     rows = []
     for label in config.codes:
         coder = make_coder(label, post_encoding=config.post_encoding)
-        if isinstance(coder, CkmStreamCode):
-            post = "true" if coder.post_encoding else "false"
-        else:
-            post = "na"
         for pi, value in enumerate(config.sweep):
-            if sweep_kind == "M":
-                pt = params.with_molecules(int(value))
-            else:
-                pt = params.with_noise(float(value))
+            pt = at_value(config.channel, value)
             # pilot seed depends on the sweep point only, so every code at a
             # given point is detected with the same threshold
             errors, bits, theta = ber_point(
@@ -312,7 +307,7 @@ def _ber_rows(config: ExperimentConfig, sweep_kind: str) -> list[dict]:
             rows.append(
                 {
                     "code": coder.label,
-                    "post_encoding": post,
+                    "post_encoding": coder.post_encoding_label,
                     "ts_s": pt.ts,
                     "L": pt.L,
                     "M": pt.M,
@@ -323,32 +318,9 @@ def _ber_rows(config: ExperimentConfig, sweep_kind: str) -> list[dict]:
                     "threshold": theta,
                 }
             )
-    return rows
-
-
-def run_ber_vs_molecules(config: ExperimentConfig) -> TrialReport:
-    """BER per code over a sweep of molecules per 1-bit, noise held fixed."""
-    t0 = time.monotonic()
-    if not config.sweep:
-        raise ValueError("ber-m needs a non-empty M sweep")
-    rows = _ber_rows(config, "M")
     return TrialReport(
-        kind="ber-m",
-        config=_config_echo(config, "ber-m"),
-        rows=tuple(rows),
-        wall_clock_s=time.monotonic() - t0,
-    )
-
-
-def run_ber_vs_noise(config: ExperimentConfig) -> TrialReport:
-    """BER per code over a sweep of noise variances, M held fixed."""
-    t0 = time.monotonic()
-    if not config.sweep:
-        raise ValueError("ber-noise needs a non-empty noise sweep")
-    rows = _ber_rows(config, "sigma")
-    return TrialReport(
-        kind="ber-noise",
-        config=_config_echo(config, "ber-noise"),
+        kind=kind,
+        config=_config_echo(config, kind),
         rows=tuple(rows),
         wall_clock_s=time.monotonic() - t0,
     )

@@ -1,9 +1,12 @@
 import math
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from isiecc import ChannelParams, slot_probs
+from isiecc import ChannelParams, CodeSpec, EncodedWord, slot_probs
+from isiecc.codec import swap_pairs
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +30,50 @@ def enumerate_weight_class(m: int, i: int) -> np.ndarray:
 def isi_brute(word, i: int, p) -> float:
     """Independent oracle: direct summation of c_l * p_{i-l+1}."""
     return math.fsum(float(word[l - 1]) * float(p[i - l]) for l in range(1, i))
+
+
+@lru_cache(maxsize=None)
+def brute_codebook(k: int, m: int) -> np.ndarray:
+    """Independent oracle: the codebook assembled by enumeration.  Messages
+    count down from 2^k - 1; parity bodies are the m-bit values of weight 0,
+    1, ... sorted decreasing within each weight, cut at 2^k rows; the extra
+    bit is 1 when the body weight is even."""
+    bodies: list[int] = []
+    weight = 0
+    while len(bodies) < 1 << k:
+        cls = sorted((sum(1 << b for b in c) for c in combinations(range(m), weight)), reverse=True)
+        bodies += [(v, weight) for v in cls]
+        weight += 1
+    rows = []
+    for r, (body, w) in enumerate(bodies[: 1 << k]):
+        u = (1 << k) - 1 - r
+        bits = [(u >> (k - 1 - j)) & 1 for j in range(k)]
+        bits += [(body >> (m - 1 - j)) & 1 for j in range(m)]
+        rows.append(bits + [1 - w % 2])
+    return np.array(rows, dtype=np.uint8)
+
+
+def _swapped(word, spec: CodeSpec) -> np.ndarray:
+    out = np.array(word, dtype=np.uint8)
+    for a, b in swap_pairs(spec.k):
+        out[[a - 1, b - 1]] = out[[b - 1, a - 1]]
+    return out
+
+
+def brute_encode(u, spec: CodeSpec) -> EncodedWord:
+    """Independent oracle: look the message up in the enumerated codebook."""
+    book = brute_codebook(spec.k, spec.m)
+    raw = next(row for row in book if (row[: spec.k] == u).all()).copy()
+    return EncodedWord(raw=raw, transmitted=_swapped(raw, spec))
+
+
+def brute_decode(word, spec: CodeSpec) -> np.ndarray:
+    """Independent oracle: undo the swaps, then find a codeword carrying the
+    received parity body and extra bit; without one, pass the message bits
+    through."""
+    v = _swapped(word, spec)
+    k = spec.k
+    for row in brute_codebook(k, spec.m):
+        if (row[k:] == v[k:]).all():
+            return row[:k].copy()
+    return v[:k].copy()

@@ -35,7 +35,7 @@ from isiecc import ChannelParams, expected_isi, hitting_prob
 from isiecc.bits import bits_to_str
 from isiecc.channel import transmit_counts
 from isiecc.codec import swap_pairs
-from isiecc.harness import ber_point, make_coder, report_csv_text, run_ber_vs_molecules
+from isiecc.harness import ber_point, make_coder, report_csv_text, run_ber_experiment
 from isiecc.harness import ExperimentConfig
 
 PARAMS = ChannelParams(D=79.4, r=5.0, r0=10.0, ts=0.3, L=40, M=300, sigma_n2=0.0)
@@ -303,7 +303,7 @@ def test_criterion_13_deterministic_across_workers():
             block_size=5_000,
             pilot_slots=50_000,
         )
-        return report_csv_text(run_ber_vs_molecules(config)).encode()
+        return report_csv_text(run_ber_experiment(config, "ber-m")).encode()
 
     first = run(1)
     rerun = run(1)

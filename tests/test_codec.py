@@ -1,10 +1,13 @@
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import enumerate_weight_class
+from conftest import brute_decode, brute_encode, enumerate_weight_class
 from isiecc import (
     BatchCodec,
     CodeSpec,
@@ -18,6 +21,7 @@ from isiecc import (
     unrank_in_weight_class,
 )
 from isiecc.bits import bits_to_str, parse_bits
+from isiecc.codebook import MAX_K, MAX_M, rank_stack, unrank_stack
 from isiecc.codec import swap_pairs
 
 ROUNDTRIP_SPECS = [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 23), (7, 27)]
@@ -197,7 +201,7 @@ class TestBatchCodec:
         msgs = np.array(all_messages(k), dtype=np.uint8)
         words = codec.encode(msgs)
         for u, w in zip(msgs, words):
-            ref = encode(u, spec)
+            ref = brute_encode(u, spec)
             assert (w == (ref.transmitted if post else ref.raw)).all()
         assert (codec.decode(words) == msgs).all()
 
@@ -219,4 +223,65 @@ class TestBatchCodec:
         words = rng.integers(0, 2, size=(400, spec.n), dtype=np.uint8)
         batch = codec.decode(words)
         for w, got in zip(words, batch):
-            assert (decode(w, spec) == got).all()
+            assert (brute_decode(w, spec) == got).all()
+
+
+_enumerated_class = lru_cache(maxsize=None)(enumerate_weight_class)
+
+
+@st.composite
+def code_params(draw, max_m=MAX_M):
+    """(k, m) over the supported range: 1 <= k <= 20, k < m <= max_m."""
+    k = draw(st.integers(1, min(MAX_K, max_m - 1)))
+    return k, draw(st.integers(k + 1, max_m))
+
+
+@st.composite
+def code_and_messages(draw):
+    k, m = draw(code_params())
+    values = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=20))
+    msgs = np.array([[(v >> (k - 1 - j)) & 1 for j in range(k)] for v in values], dtype=np.uint8)
+    return CodeSpec.for_params(k, m), msgs
+
+
+class TestCodecProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rank_inverts_unrank(self, data):
+        k, m = data.draw(code_params())
+        rows = np.array(data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=40)))
+        bodies = unrank_stack(rows, m)
+        assert bodies.shape == (rows.size, m)
+        assert (rank_stack(bodies) == rows).all()
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=code_and_messages())
+    def test_batch_encode_equals_one_row_encode(self, case):
+        spec, msgs = case
+        codec = BatchCodec(build_codebook(spec.k, spec.m))
+        words = codec.encode(msgs)
+        assert (words == np.array([encode(u, spec).transmitted for u in msgs])).all()
+        for pos in range(spec.n):
+            hit = words.copy()
+            hit[:, pos] ^= 1
+            assert (codec.decode(hit) == msgs).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=code_and_messages())
+    def test_every_single_flip_decodes_to_the_message(self, case):
+        spec, msgs = case
+        for u in msgs:
+            tx = encode(u, spec).transmitted
+            assert (decode(tx, spec) == u).all()
+            for pos in range(spec.n):
+                hit = tx.copy()
+                hit[pos] ^= 1
+                assert (decode(hit, spec) == u).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(km=code_params(max_m=16))
+    def test_parity_bodies_match_enumeration(self, km):
+        k, m = km
+        book = build_codebook(k, m)
+        classes = [_enumerated_class(m, i) for i in range(book.spec.max_parity_weight + 1)]
+        assert (book.parity_bodies == np.vstack(classes)[: 1 << k]).all()

@@ -5,15 +5,13 @@ from isiecc import (
     ExperimentConfig,
     expected_isi,
     make_coder,
-    repetition3_decode,
-    repetition3_encode,
-    run_ber_vs_molecules,
-    run_ber_vs_noise,
+    run_ber_experiment,
     run_isi_experiment,
     slot_probs,
     write_report,
 )
-from isiecc.bits import bits_to_str
+from isiecc import harness
+from isiecc.bits import bits_to_str, parse_bits
 from isiecc.harness import (
     CkmStreamCode,
     Repetition3Stream,
@@ -23,25 +21,28 @@ from isiecc.harness import (
 )
 
 
+REP3 = Repetition3Stream()
+
+
 class TestRepetition3:
     def test_encode_definition(self):
-        assert bits_to_str(repetition3_encode("10")) == "111000"
+        assert bits_to_str(REP3.encode(parse_bits("10"))) == "111000"
 
     def test_decode_majority(self):
-        assert bits_to_str(repetition3_decode("110")) == "1"
-        assert bits_to_str(repetition3_decode("010")) == "0"
+        assert bits_to_str(REP3.decode(parse_bits("110"))) == "1"
+        assert bits_to_str(REP3.decode(parse_bits("010"))) == "0"
 
     def test_any_single_flip_recovered(self):
         for bit in ("0", "1"):
-            word = repetition3_encode(bit)
+            word = REP3.encode(parse_bits(bit))
             for pos in range(3):
                 hit = word.copy()
                 hit[pos] ^= 1
-                assert bits_to_str(repetition3_decode(hit)) == bit
+                assert bits_to_str(REP3.decode(hit)) == bit
 
     def test_length_must_be_multiple_of_three(self):
         with pytest.raises(ValueError):
-            repetition3_decode("1101")
+            REP3.decode(parse_bits("1101"))
 
     def test_stream_coder_matches_functions(self):
         coder = Repetition3Stream()
@@ -62,6 +63,11 @@ class TestCoders:
             make_coder("hamming")
         with pytest.raises(ValueError):
             make_coder("ckm:4")
+        # out-of-range codes keep the reason the code spec gives
+        with pytest.raises(ValueError, match="m must satisfy k < m"):
+            make_coder("ckm:4,3")
+        with pytest.raises(ValueError, match="k must be in"):
+            make_coder("ckm:21,30")
 
     def test_ckm_round_trip_through_stream_shapes(self):
         coder = make_coder("ckm:4,5")
@@ -130,6 +136,14 @@ class TestIsiExperiment:
         assert row["expected_isi_analytic"] == 0.0
         assert row["expected_isi_mc"] > 0  # stream interference from earlier words
 
+    def test_code_longer_than_memory_fails_before_any_block(self, params_03, monkeypatch):
+        blocks = []
+        monkeypatch.setattr(harness, "_isi_mc_profile", lambda *args: blocks.append(args))
+        config = small_config(params_03, codes=("ckm:4,5", "ckm:16,30"), sweep=())
+        with pytest.raises(ValueError, match=r"ckm:16,30 has n=47 .* L=40"):
+            run_isi_experiment(config)
+        assert blocks == []
+
     def test_streamed_last_bit_below_repetition3(self, params_03):
         config = small_config(
             params_03, codes=("ckm:4,5", "rep3"), trials=20_000, sweep=()
@@ -146,7 +160,7 @@ class TestIsiExperiment:
 class TestBerExperiments:
     def test_bits_accounting_and_schema(self, params_03):
         config = small_config(params_03, codes=("ckm:4,5", "uncoded"), trials=1_000)
-        report = run_ber_vs_molecules(config)
+        report = run_ber_experiment(config, "ber-m")
         assert report.kind == "ber-m"
         assert len(report.rows) == 4  # 2 codes x 2 sweep points
         for row in report.rows:
@@ -158,14 +172,14 @@ class TestBerExperiments:
 
     def test_noise_sweep_uses_fixed_molecules(self, params_03):
         config = small_config(params_03, codes=("uncoded",), sweep=(0.0, 60.0), trials=1_000)
-        report = run_ber_vs_noise(config)
+        report = run_ber_experiment(config, "ber-noise")
         assert [row["sigma_n2"] for row in report.rows] == [0.0, 60.0]
         assert all(row["M"] == params_03.M for row in report.rows)
 
     def test_same_seed_same_csv(self, params_03):
         config = small_config(params_03, codes=("ckm:4,5",), trials=1_500)
-        a = report_csv_text(run_ber_vs_molecules(config))
-        b = report_csv_text(run_ber_vs_molecules(config))
+        a = report_csv_text(run_ber_experiment(config, "ber-m"))
+        b = report_csv_text(run_ber_experiment(config, "ber-m"))
         assert a == b
 
     def test_worker_count_does_not_change_csv(self, params_03):
@@ -173,8 +187,8 @@ class TestBerExperiments:
         parallel = small_config(
             params_03, codes=("ckm:4,5", "rep3"), trials=2_000, workers=4
         )
-        assert report_csv_text(run_ber_vs_molecules(base)) == report_csv_text(
-            run_ber_vs_molecules(parallel)
+        assert report_csv_text(run_ber_experiment(base, "ber-m")) == report_csv_text(
+            run_ber_experiment(parallel, "ber-m")
         )
 
     def test_threshold_replay_reproduces_ber(self, params_03):
@@ -191,13 +205,13 @@ class TestBerExperiments:
     def test_empty_sweep_rejected(self, params_03):
         config = small_config(params_03, sweep=())
         with pytest.raises(ValueError):
-            run_ber_vs_molecules(config)
+            run_ber_experiment(config, "ber-m")
 
 
 class TestReportOutput:
     def test_csv_and_manifest_files(self, params_03, tmp_path):
         config = small_config(params_03, codes=("uncoded",), trials=800)
-        report = run_ber_vs_molecules(config)
+        report = run_ber_experiment(config, "ber-m")
         out = tmp_path / "run.csv"
         write_report(report, out)
         lines = out.read_text().splitlines()
@@ -221,7 +235,7 @@ class TestReportOutput:
 
     def test_manifest_echoes_parameters(self, params_03):
         config = small_config(params_03, codes=("uncoded",), trials=300, sweep=(100.0,))
-        report = run_ber_vs_molecules(config)
+        report = run_ber_experiment(config, "ber-m")
         text = manifest_text(report)
         assert "D_um2_per_s = 79.4" in text
         assert "experiment = ber-m" in text
