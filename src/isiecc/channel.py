@@ -232,6 +232,12 @@ class ReceivedFrame:
     decisions: np.ndarray | None
 
 
+# emissions per multinomial call: caps the (emissions, L+1) int64 draws at
+# ~5 MB per call, whatever the pattern length.  The generator yields the rows
+# in order, so the counts do not depend on this size.
+TRANSPORT_CHUNK = 1 << 14
+
+
 def transmit_counts(
     tx_bits: np.ndarray,
     params: ChannelParams,
@@ -252,10 +258,12 @@ def transmit_counts(
     ones = np.flatnonzero(tx_bits)
     if params.M > 0 and ones.size:
         pext = np.append(profile.p, 1.0 - profile.p.sum())
-        draws = rng.multinomial(params.M, pext, size=ones.size)
         start = 0 if include_own_slot else 1
-        for d in range(start, L):
-            counts[ones + d] += draws[:, d]
+        for lo in range(0, ones.size, TRANSPORT_CHUNK):
+            chunk = ones[lo : lo + TRANSPORT_CHUNK]
+            draws = rng.multinomial(params.M, pext, size=chunk.size)
+            for d in range(start, L):
+                counts[chunk + d] += draws[:, d]
     return counts[:S]
 
 

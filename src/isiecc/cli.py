@@ -27,6 +27,7 @@ from .channel import load_channel_config
 from .codebook import CodeSpec, build_codebook, export_codebook_csv
 from .codec import decode, encode
 from .harness import (
+    BER_RUN_KEYS,
     DEFAULT_BLOCK_SIZE,
     DEFAULT_PILOT_SLOTS,
     ExperimentConfig,
@@ -70,6 +71,11 @@ def _add_experiment_args(sub: argparse.ArgumentParser, default_trials: int) -> N
     sub.add_argument("--out", required=True, help="output CSV path")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--trials", type=int, default=default_trials, help="codewords per point")
+
+
+def _add_ber_args(sub: argparse.ArgumentParser, default_sweep: str) -> None:
+    _add_experiment_args(sub, default_trials=1_000_000)
+    sub.add_argument("--sweep", type=_parse_sweep, default=_parse_sweep(default_sweep))
     sub.add_argument("--workers", type=int, default=1, help="parallel worker threads")
     sub.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     sub.add_argument("--pilot-slots", type=int, default=DEFAULT_PILOT_SLOTS)
@@ -96,28 +102,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_args(isi, default_trials=100_000)
 
     berm = subs.add_parser("ber-m", help="BER over a molecules-per-bit sweep")
-    _add_experiment_args(berm, default_trials=1_000_000)
-    berm.add_argument("--sweep", type=_parse_sweep, default=_parse_sweep("100:300:25"))
+    _add_ber_args(berm, default_sweep="100:300:25")
 
     bern = subs.add_parser("ber-noise", help="BER over a noise-variance sweep")
-    _add_experiment_args(bern, default_trials=1_000_000)
-    bern.add_argument("--sweep", type=_parse_sweep, default=_parse_sweep("0:120:30"))
+    _add_ber_args(bern, default_sweep="0:120:30")
 
     return parser
 
 
-def _experiment_config(args, sweep=()) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     params, file_seed = load_channel_config(args.config)
+    # sweep and the BER run flags exist on ber-m/ber-noise only
+    ber_run = {
+        key: getattr(args, key) for key in ("sweep", *BER_RUN_KEYS) if hasattr(args, key)
+    }
     return ExperimentConfig(
         codes=tuple(args.code),
         channel=params,
         seed=args.seed if args.seed is not None else file_seed,
         trials=args.trials,
-        sweep=tuple(sweep),
         post_encoding=not args.no_post_encode,
-        workers=args.workers,
-        block_size=args.block_size,
-        pilot_slots=args.pilot_slots,
+        **ber_run,
     )
 
 
@@ -154,7 +159,7 @@ def _run(args) -> int:
     if args.command == "isi":
         report = run_isi_experiment(_experiment_config(args))
     else:
-        report = run_ber_experiment(_experiment_config(args, args.sweep), args.command)
+        report = run_ber_experiment(_experiment_config(args), args.command)
     write_report(report, args.out)
     print(f"wrote {args.out} ({len(report.rows)} rows, {report.wall_clock_s:.1f}s)")
     return 0

@@ -13,8 +13,11 @@ order.  The partitioning does not depend on the worker count, so a run
 produces identical CSV bytes at any parallelism level.
 
 BER is measured on decoded message bits.  The detection threshold is
-calibrated once per sweep point on an uncoded pilot and shared by all codes
-at that point (recorded per row in the CSV and in the manifest).
+calibrated once per sweep point on an uncoded pilot seeded by (seed, point
+index), before any block runs, and shared by all codes at that point
+(recorded per row in the CSV and in the manifest).  The pilots run on the
+same worker threads as the blocks; with one worker, pilots and blocks all
+run on the calling thread.
 """
 
 from __future__ import annotations
@@ -135,11 +138,18 @@ class TrialReport:
     config: dict
     rows: tuple[dict, ...]
     wall_clock_s: float = field(compare=False, default=0.0)
+    # pilot calibrations run and their wall time; None when no pilot runs
+    pilots: int | None = field(compare=False, default=None)
+    pilot_s: float = field(compare=False, default=0.0)
+
+
+# ExperimentConfig fields that only change how a BER sweep runs
+BER_RUN_KEYS = ("workers", "block_size", "pilot_slots")
 
 
 def _config_echo(config: ExperimentConfig, kind: str) -> dict:
     ch = config.channel
-    return {
+    echo = {
         "experiment": kind,
         "codes": ",".join(config.codes),
         "D_um2_per_s": ch.D,
@@ -158,6 +168,20 @@ def _config_echo(config: ExperimentConfig, kind: str) -> dict:
         "pilot_slots": config.pilot_slots,
         "version": _version,
     }
+    if kind == "isi":
+        for key in BER_RUN_KEYS:
+            del echo[key]
+    return echo
+
+
+def _map(workers: int, fn, jobs) -> list:
+    """fn over jobs, results in job order: inline on the calling thread for
+    one worker (no pool thread, so no extra malloc arena), else on a pool of
+    `workers` threads."""
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +274,20 @@ def ber_point(
     pilot_slots: int = DEFAULT_PILOT_SLOTS,
     threshold: float | None = None,
 ) -> tuple[int, int, float]:
-    """Bit errors, bits sent, and the threshold used for one sweep point."""
+    """Bit errors, bits sent, and the threshold used for one sweep point.
+
+    Without a threshold, calibrates the point's pilot on (seed, point_idx, 0),
+    the same pilot run_ber_experiment shares across codes."""
     if threshold is None:
         threshold = calibrate_threshold(params, pilot_slots, [seed, point_idx, 0])
     sizes = [
         min(block_size, trials - start) for start in range(0, trials, block_size)
     ]
-    jobs = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda job: _ber_block(coder, params, threshold, seed, point_idx, *job),
-                    jobs,
-                )
-            )
-    else:
-        results = [_ber_block(coder, params, threshold, seed, point_idx, b, nb) for b, nb in jobs]
+    results = _map(
+        workers,
+        lambda job: _ber_block(coder, params, threshold, seed, point_idx, *job),
+        list(enumerate(sizes)),
+    )
     errors = sum(r[0] for r in results)
     bits = sum(r[1] for r in results)
     return errors, bits, threshold
@@ -287,13 +308,20 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
     at_value = BER_SWEEPS[kind]
     if not config.sweep:
         raise ValueError(f"{kind} needs a non-empty sweep")
+    coders = [make_coder(label, post_encoding=config.post_encoding) for label in config.codes]
+    points = [at_value(config.channel, value) for value in config.sweep]
+    # one pilot per sweep point, seeded by the point only, so every code at
+    # a given point is detected with the same threshold
+    t_pilot = time.monotonic()
+    thetas = _map(
+        config.workers,
+        lambda pi: calibrate_threshold(points[pi], config.pilot_slots, [config.seed, pi, 0]),
+        range(len(points)),
+    )
+    pilot_s = time.monotonic() - t_pilot
     rows = []
-    for label in config.codes:
-        coder = make_coder(label, post_encoding=config.post_encoding)
-        for pi, value in enumerate(config.sweep):
-            pt = at_value(config.channel, value)
-            # pilot seed depends on the sweep point only, so every code at a
-            # given point is detected with the same threshold
+    for coder in coders:
+        for pi, pt in enumerate(points):
             errors, bits, theta = ber_point(
                 coder,
                 pt,
@@ -302,7 +330,7 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
                 point_idx=pi,
                 workers=config.workers,
                 block_size=config.block_size,
-                pilot_slots=config.pilot_slots,
+                threshold=thetas[pi],
             )
             rows.append(
                 {
@@ -323,6 +351,8 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
         config=_config_echo(config, kind),
         rows=tuple(rows),
         wall_clock_s=time.monotonic() - t0,
+        pilots=len(thetas),
+        pilot_s=pilot_s,
     )
 
 
@@ -367,6 +397,9 @@ def manifest_text(report: TrialReport) -> str:
     for code, theta in thresholds:
         lines.append(f"threshold[{code}] = {theta}")
     lines.append(f"wall_clock_s = {report.wall_clock_s:.3f}")
+    if report.pilots is not None:
+        lines.append(f"pilots = {report.pilots}")
+        lines.append(f"pilot_s = {report.pilot_s:.3f}")
     return "\n".join(lines) + "\n"
 
 

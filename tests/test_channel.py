@@ -19,7 +19,7 @@ from isiecc import (
     streaming_expected_isi,
     swap_gain,
 )
-from isiecc.channel import transmit_counts
+from isiecc.channel import TRANSPORT_CHUNK, transmit_counts
 from isiecc.codec import swap_pairs
 from isiecc.harness import UncodedStream
 
@@ -275,6 +275,22 @@ class TestTransport:
         M = params_03.M
         se = np.sqrt(M * p * (1 - p) / trials)
         assert (np.abs(mean - M * p) <= 4 * se).all()
+
+    def test_counts_do_not_depend_on_draw_chunking(self, params_03):
+        # ~1.5 chunks of emissions, so a full and a partial chunk are drawn
+        tx = np.random.default_rng(4).integers(0, 2, size=3 * TRANSPORT_CHUNK, dtype=np.uint8)
+        counts = transmit_counts(tx, params_03, np.random.default_rng(8))
+        # reference: one multinomial row per emission, all drawn in one call
+        ones = np.flatnonzero(tx)
+        p = slot_probs(params_03).p
+        draws = np.random.default_rng(8).multinomial(
+            params_03.M, np.append(p, 1.0 - p.sum()), size=ones.size
+        )
+        expected = np.zeros(tx.size + params_03.L)
+        for d in range(params_03.L):
+            np.add.at(expected, ones + d, draws[:, d])
+        assert ones.size > TRANSPORT_CHUNK
+        assert (counts == expected[: tx.size]).all()
 
     def test_interference_only_drops_own_slot(self, params_03):
         tx = np.zeros(200, dtype=np.uint8)

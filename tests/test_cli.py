@@ -104,6 +104,27 @@ class TestExperimentCommands:
         assert lines[0] == "code,ts_s,L,position,expected_isi_analytic,expected_isi_mc"
         assert len(lines) == 1 + 8 + 3
 
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "2"], ["--block-size", "7"], ["--pilot-slots", "1000"]]
+    )
+    def test_isi_rejects_ber_run_flags(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path)
+        argv = ["isi", "--config", str(cfg), "--code", "rep3", "--out", str(tmp_path / "i.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_isi_manifest_omits_ber_run_flags(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "isi.csv"
+        argv = ["isi", "--config", str(cfg), "--code", "rep3", "--out", str(out)]
+        assert main(argv + ["--trials", "300"]) == 0
+        manifest = (tmp_path / "isi.manifest.txt").read_text().splitlines()
+        keys = {line.split(" = ")[0] for line in manifest}
+        assert {"seed", "trials", "version"} <= keys
+        assert not keys & {"workers", "block_size", "pilot_slots", "pilots", "pilot_s"}
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "ber.csv"

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,19 @@ def small_config(params, **overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def count_pilots(monkeypatch) -> list:
+    """Record (thread, seed) of every pilot the harness calibrates."""
+    calls = []
+    original = harness.calibrate_threshold
+
+    def counted(params, pilot_length, rng_seed):
+        calls.append((threading.get_ident(), list(rng_seed)))
+        return original(params, pilot_length, rng_seed)
+
+    monkeypatch.setattr(harness, "calibrate_threshold", counted)
+    return calls
 
 
 class TestIsiExperiment:
@@ -207,6 +222,45 @@ class TestBerExperiments:
         with pytest.raises(ValueError):
             run_ber_experiment(config, "ber-m")
 
+    def test_bad_code_label_fails_before_any_pilot(self, params_03, monkeypatch):
+        pilots = count_pilots(monkeypatch)
+        config = small_config(params_03, codes=("ckm:4,5", "ckm:4,3"))
+        with pytest.raises(ValueError, match="k < m"):
+            run_ber_experiment(config, "ber-m")
+        assert pilots == []
+
+    def test_one_pilot_per_point_and_unchanged_rows(self, params_03, monkeypatch):
+        pilots = count_pilots(monkeypatch)
+        config = small_config(params_03)
+        report = run_ber_experiment(config, "ber-m")
+        assert len(pilots) == len(config.sweep) == 2
+        # workers=1 runs every pilot inline: no pool thread, no extra malloc arena
+        assert {thread for thread, _ in pilots} == {threading.get_ident()}
+        assert sorted(seed for _, seed in pilots) == [[11, 0, 0], [11, 1, 0]]
+
+        # each row is what a standalone point with its own pilot gives
+        expected = []
+        for label in config.codes:
+            coder = make_coder(label)
+            for pi, value in enumerate(config.sweep):
+                errors, bits, theta = ber_point(
+                    coder,
+                    params_03.with_molecules(value),
+                    config.trials,
+                    config.seed,
+                    point_idx=pi,
+                    block_size=config.block_size,
+                    pilot_slots=config.pilot_slots,
+                )
+                expected.append((label, value, bits, errors, theta))
+        assert [
+            (r["code"], r["M"], r["bits_sent"], r["bit_errors"], r["threshold"])
+            for r in report.rows
+        ] == expected
+
+        parallel = run_ber_experiment(small_config(params_03, workers=3), "ber-m")
+        assert report_csv_text(parallel) == report_csv_text(report)
+
 
 class TestReportOutput:
     def test_csv_and_manifest_files(self, params_03, tmp_path):
@@ -224,6 +278,12 @@ class TestReportOutput:
         assert "version = " in manifest
         assert "wall_clock_s = " in manifest
         assert "threshold[uncoded]" in manifest
+
+    def test_ber_manifest_counts_pilots(self, params_03):
+        config = small_config(params_03, codes=("ckm:4,5", "uncoded"), trials=800)
+        text = manifest_text(run_ber_experiment(config, "ber-m"))
+        assert "pilots = 2\n" in text
+        assert "pilot_s = " in text
 
     def test_isi_csv_header(self, params_03, tmp_path):
         config = small_config(params_03, codes=("uncoded",), trials=300, sweep=())
