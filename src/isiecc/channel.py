@@ -12,16 +12,22 @@ probability p_i = F(i ts) - F((i - 1) ts), or is never seen within the
 channel memory of L slots.  Molecules from earlier slots absorbed in the
 current one are intersymbol interference.
 
-Transport is simulated exactly: one multinomial draw of M trials over
-(p_1 .. p_L, remainder) per transmitted 1, since a molecule is absorbed in at
-most one slot.  Receiver noise is zero-mean Gaussian added per slot, and
-detection thresholds the real-valued slot observation.
+Transport is simulated exactly.  A molecule is absorbed in at most one slot,
+so the M molecules of one transmitted 1 land multinomially over
+(p_1 .. p_L, never-absorbed).  That law is drawn by its own decomposition:
+X_1 ~ Bin(M, p_1) molecules in the emission's own slot, then
+T ~ Bin(M - X_1, P_tail / (1 - p_1)) in lags 2..L with P_tail = p_2 + ... +
+p_L, and each of those T molecules takes lag d with probability
+p_d / P_tail from a Walker alias table (A. J. Walker, ACM TOMS 3(3), 1977).
+Receiver noise is zero-mean Gaussian added per slot, and detection
+thresholds the real-valued slot observation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +65,8 @@ class ChannelParams:
             raise ValueError("M and sigma_n2 must be non-negative")
 
     def with_molecules(self, M: int) -> "ChannelParams":
+        if M != int(M):
+            raise ValueError(f"molecules per 1-bit must be a whole number, got {M}")
         return replace(self, M=int(M))
 
     def with_noise(self, sigma_n2: float) -> "ChannelParams":
@@ -232,10 +240,81 @@ class ReceivedFrame:
     decisions: np.ndarray | None
 
 
-# emissions per multinomial call: caps the (emissions, L+1) int64 draws at
-# ~5 MB per call, whatever the pattern length.  The generator yields the rows
-# in order, so the counts do not depend on this size.
-TRANSPORT_CHUNK = 1 << 14
+class LagTable:
+    """Walker alias table over the tail lags 2..L, indexed from 0.
+
+    A 64-bit word w picks bucket b = w >> shift from its high bits.  It keeps
+    tail index b when w < cutoff[b], i.e. when its low bits fall under the
+    bucket's integer keep threshold, and takes the bucket's alias otherwise.
+    `lags` lists the K buckets' aliases, then 0 .. K-1, so one lookup at
+    b + K * kept gives the tail index.  A plain class, because a dataclass
+    would add ~1 ms to every import of this module.
+    """
+
+    __slots__ = ("shift", "cutoff", "lags")
+
+    def __init__(self, shift: int, cutoff: np.ndarray, lags: np.ndarray):
+        self.shift = shift
+        self.cutoff = cutoff  # uint64, (b << shift) + keep threshold
+        self.lags = lags  # int64, (alias_0 .. alias_{K-1}, 0 .. K-1)
+
+    def sample(self, words: np.ndarray) -> np.ndarray:
+        """Tail index (lag - 2) of each word's molecule."""
+        b = (words >> self.shift).view(np.int64)
+        b += (words < self.cutoff[b]) * self.cutoff.size
+        return self.lags[b]
+
+
+def lag_table(tail) -> LagTable:
+    """Alias table for lag probabilities proportional to `tail` (p_2 .. p_L).
+
+    The bucket count is the smallest power of two holding every tail lag,
+    and at least 2 so that the bucket shift stays below 64.  Keep thresholds
+    are rounded to 2^-shift of a bucket, finer than a float64 uniform.
+    """
+    tail = np.asarray(tail, dtype=np.float64)
+    bits = max(1, (tail.size - 1).bit_length())
+    buckets, shift = 1 << bits, 64 - bits
+    scaled = np.zeros(buckets)
+    scaled[: tail.size] = tail * (buckets / tail.sum())
+    keep = np.ones(buckets)
+    alias = np.arange(buckets)
+    small = [b for b in range(buckets) if scaled[b] < 1.0]
+    large = [b for b in range(buckets) if scaled[b] >= 1.0]
+    # Vose's pairing: each short bucket is topped up from one tall bucket
+    while small and large:
+        s, t = small.pop(), large.pop()
+        keep[s], alias[s] = scaled[s], t
+        scaled[t] = (scaled[t] + scaled[s]) - 1.0
+        (small if scaled[t] < 1.0 else large).append(t)
+    # leftovers hold a whole bucket up to rounding: they keep it, aliased to
+    # themselves, so clamping the last cutoff below 2^64 changes nothing
+    cutoff = np.empty(buckets, dtype=np.uint64)
+    for b in range(buckets):
+        threshold = round(float(keep[b]) * 2.0**shift)
+        if threshold >= 1 << shift:
+            threshold, alias[b] = 1 << shift, b
+        cutoff[b] = min((b << shift) + threshold, (1 << 64) - 1)
+    lags = np.concatenate([alias, np.arange(buckets)])
+    cutoff.setflags(write=False)
+    lags.setflags(write=False)
+    return LagTable(shift=shift, cutoff=cutoff, lags=lags)
+
+
+@lru_cache(maxsize=64)
+def _transport_split(params: ChannelParams) -> tuple[float, float, LagTable | None]:
+    """(p_1, P_tail / (1 - p_1), tail lag table), or no table when L = 1.
+    Built at the first transport call for a channel, then reused."""
+    p = slot_probs(params).p
+    if p.size == 1:
+        return float(p[0]), 0.0, None
+    return float(p[0]), float(p[1:].sum() / (1.0 - p[0])), lag_table(p[1:])
+
+
+# emissions per chunk of tail-molecule words: at M=300, L=40 about 66 tail
+# molecules per emission, so each per-chunk molecule array stays near 0.5 MB.
+# The words are drawn in stream order, so the counts do not depend on this size.
+TRANSPORT_CHUNK = 1 << 10
 
 
 def transmit_counts(
@@ -246,24 +325,34 @@ def transmit_counts(
 ) -> np.ndarray:
     """Absorbed-molecule counts per slot for a 0/1 transmit pattern.
 
-    Each 1 releases M molecules whose landing slots are one multinomial draw
-    over (p_1 .. p_L, never-absorbed).  With include_own_slot=False the
-    same-slot arrivals are dropped, leaving pure interference counts.
+    Each 1 releases M molecules whose landing slots are multinomial over
+    (p_1 .. p_L, never-absorbed), drawn as an own-slot binomial, a tail
+    binomial on the rest and one alias-table lag per tail molecule.  With
+    include_own_slot=False the same-slot arrivals are still drawn (the tail
+    depends on them) but dropped, leaving pure interference counts.
     Contributions beyond the pattern end are discarded.
     """
-    profile = slot_probs(params)
     L = params.L
     S = int(tx_bits.size)
     counts = np.zeros(S + L, dtype=np.float64)
     ones = np.flatnonzero(tx_bits)
-    if params.M > 0 and ones.size:
-        pext = np.append(profile.p, 1.0 - profile.p.sum())
-        start = 0 if include_own_slot else 1
-        for lo in range(0, ones.size, TRANSPORT_CHUNK):
-            chunk = ones[lo : lo + TRANSPORT_CHUNK]
-            draws = rng.multinomial(params.M, pext, size=chunk.size)
-            for d in range(start, L):
-                counts[chunk + d] += draws[:, d]
+    if params.M == 0 or not ones.size:
+        return counts[:S]
+    p1, q_tail, table = _transport_split(params)
+    own = rng.binomial(params.M, p1, size=ones.size)
+    if include_own_slot:
+        counts[ones] += own
+    if table is None:
+        return counts[:S]
+    tail = rng.binomial(params.M - own, q_tail)
+    for lo in range(0, ones.size, TRANSPORT_CHUNK):
+        pos, n = ones[lo : lo + TRANSPORT_CHUNK], tail[lo : lo + TRANSPORT_CHUNK]
+        base = int(pos[0])
+        span = int(pos[-1]) - base + L
+        # slot of each tail molecule relative to base: its emission + 1 + tail index
+        slots = np.repeat(pos - (base - 1), n)
+        slots += table.sample(rng.bit_generator.random_raw(int(n.sum())))
+        counts[base : base + span] += np.bincount(slots, minlength=span)
     return counts[:S]
 
 

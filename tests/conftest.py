@@ -77,3 +77,16 @@ def brute_decode(word, spec: CodeSpec) -> np.ndarray:
         if (row[k:] == v[k:]).all():
             return row[:k].copy()
     return v[:k].copy()
+
+
+def multinomial_counts(tx_bits, params, rng, include_own_slot=True) -> np.ndarray:
+    """Reference transport: one numpy multinomial row of M trials over
+    (p_1 .. p_L, never-absorbed) per transmitted 1, scattered lag by lag."""
+    p = slot_probs(params).p
+    L = params.L
+    ones = np.flatnonzero(tx_bits)
+    counts = np.zeros(tx_bits.size + L)
+    draws = rng.multinomial(params.M, np.append(p, 1.0 - p.sum()), size=ones.size)
+    for d in range(0 if include_own_slot else 1, L):
+        counts[ones + d] += draws[:, d]
+    return counts[: tx_bits.size]

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import isi_brute
+from conftest import isi_brute, multinomial_counts
 from isiecc import (
     ChannelParams,
     build_codebook,
@@ -19,7 +20,8 @@ from isiecc import (
     streaming_expected_isi,
     swap_gain,
 )
-from isiecc.channel import TRANSPORT_CHUNK, transmit_counts
+from isiecc import channel
+from isiecc.channel import TRANSPORT_CHUNK, lag_table, transmit_counts
 from isiecc.codec import swap_pairs
 from isiecc.harness import UncodedStream
 
@@ -276,21 +278,16 @@ class TestTransport:
         se = np.sqrt(M * p * (1 - p) / trials)
         assert (np.abs(mean - M * p) <= 4 * se).all()
 
-    def test_counts_do_not_depend_on_draw_chunking(self, params_03):
-        # ~1.5 chunks of emissions, so a full and a partial chunk are drawn
+    def test_counts_do_not_depend_on_draw_chunking(self, params_03, monkeypatch):
+        # ~1.5 default chunks of emissions, so a full and a partial chunk are drawn
         tx = np.random.default_rng(4).integers(0, 2, size=3 * TRANSPORT_CHUNK, dtype=np.uint8)
-        counts = transmit_counts(tx, params_03, np.random.default_rng(8))
-        # reference: one multinomial row per emission, all drawn in one call
-        ones = np.flatnonzero(tx)
-        p = slot_probs(params_03).p
-        draws = np.random.default_rng(8).multinomial(
-            params_03.M, np.append(p, 1.0 - p.sum()), size=ones.size
-        )
-        expected = np.zeros(tx.size + params_03.L)
-        for d in range(params_03.L):
-            np.add.at(expected, ones + d, draws[:, d])
-        assert ones.size > TRANSPORT_CHUNK
-        assert (counts == expected[: tx.size]).all()
+        emissions = int(tx.sum())
+        assert emissions > TRANSPORT_CHUNK
+        default = transmit_counts(tx, params_03, np.random.default_rng(8))
+        for chunk in (1, 7, emissions):
+            monkeypatch.setattr(channel, "TRANSPORT_CHUNK", chunk)
+            counts = transmit_counts(tx, params_03, np.random.default_rng(8))
+            assert (counts == default).all(), f"TRANSPORT_CHUNK={chunk}"
 
     def test_interference_only_drops_own_slot(self, params_03):
         tx = np.zeros(200, dtype=np.uint8)
@@ -317,6 +314,123 @@ class TestTransport:
     def test_empty_message_list_rejected(self, params_03):
         with pytest.raises(ValueError):
             simulate_stream(np.zeros((0, 1), dtype=np.uint8), UncodedStream(), params_03, 1)
+
+
+def isolated_windows(sampler, params, trials: int, seed) -> np.ndarray:
+    """Per-emission slot counts (X_1 .. X_L) of `trials` isolated 1s, each
+    sent L slots after the previous one so their windows cannot overlap."""
+    tx = np.zeros(trials * params.L, dtype=np.uint8)
+    tx[:: params.L] = 1
+    counts = sampler(tx, params, np.random.default_rng(seed))
+    return counts.reshape(trials, params.L).astype(np.int64)
+
+
+def multinomial_pmf(x, M: int, p) -> float:
+    """P(X_1 .. X_L = x) for M molecules over (p_1 .. p_L, never-absorbed)."""
+    rest = M - sum(x)
+    ways = math.factorial(M) // math.prod(math.factorial(v) for v in (*x, rest))
+    return ways * math.prod(float(pi) ** v for pi, v in zip(p, x)) * (1.0 - float(p.sum())) ** rest
+
+
+def implied_lag_probs(table) -> np.ndarray:
+    """Exact lag law of LagTable.sample: every 64-bit word counted once."""
+    span = 1 << table.shift
+    mass = [0] * table.cutoff.size
+    for b in range(table.cutoff.size):
+        kept = int(table.cutoff[b]) - (b << table.shift)
+        mass[b] += kept
+        mass[int(table.lags[b])] += span - kept
+    return np.array([m / 2**64 for m in mass])
+
+
+SAMPLERS = pytest.mark.parametrize(
+    "sampler", [transmit_counts, multinomial_counts], ids=["transmit_counts", "multinomial"]
+)
+
+# L = 3, M = 6 on the 0.3 s physics: 84 outcomes (x_1, x_2, x_3).  Of 200,000
+# emissions, 59 outcomes expect at least 5 and the rest pool into one bin, so
+# the statistic has 59 degrees of freedom; 98.32 is the 0.999 quantile of
+# chi^2(59), fixed before the test was first run.
+LAW_PARAMS = ChannelParams(D=79.4, r=5.0, r0=10.0, ts=0.3, L=3, M=6, sigma_n2=0.0)
+LAW_TRIALS = 200_000
+CHI2_DF, CHI2_CRITICAL = 59, 98.32
+
+
+class TestTransportLaw:
+    """transmit_counts draws each emission's exact multinomial law; the
+    multinomial reference sampler passes the same checks."""
+
+    @SAMPLERS
+    def test_joint_law_chi_square(self, sampler):
+        M, L = LAW_PARAMS.M, LAW_PARAMS.L
+        p = slot_probs(LAW_PARAMS).p
+        x = isolated_windows(sampler, LAW_PARAMS, LAW_TRIALS, seed=2024)
+        assert x.sum(axis=1).max() <= M  # no emission loses or gains molecules
+        digits = (M + 1) ** np.arange(L)
+        observed = np.bincount(x @ digits, minlength=(M + 1) ** L)
+        expected = np.zeros(observed.size)
+        for outcome in np.ndindex(*(M + 1,) * L):
+            if sum(outcome) <= M:
+                expected[np.dot(outcome, digits)] = LAW_TRIALS * multinomial_pmf(outcome, M, p)
+        big = expected >= 5
+        pooled = ~big & (expected > 0)
+        assert big.sum() == CHI2_DF
+        obs = np.append(observed[big], observed[pooled].sum())
+        exp = np.append(expected[big], expected[pooled].sum())
+        stat = float((((obs - exp) ** 2) / exp).sum())
+        assert stat < CHI2_CRITICAL, f"chi^2 = {stat:.1f} on {CHI2_DF} df"
+
+    @SAMPLERS
+    def test_lag_moments_and_covariances(self, sampler, params_03):
+        # every check at 5 standard errors: exact binomial ones for the lag
+        # means and variances, the sample's own for adjacent-lag covariances
+        trials = 50_000
+        M = params_03.M
+        p = slot_probs(params_03).p
+        x = isolated_windows(sampler, params_03, trials, seed=77).astype(np.float64)
+        var = M * p * (1 - p)
+        fourth = var * (1 + 3 * (M - 2) * p * (1 - p))  # binomial 4th central moment
+        assert (np.abs(x.mean(axis=0) - M * p) <= 5 * np.sqrt(var / trials)).all()
+        assert (np.abs(x.var(axis=0) - var) <= 5 * np.sqrt((fourth - var**2) / trials)).all()
+        centred = x - x.mean(axis=0)
+        products = centred[:, :-1] * centred[:, 1:]
+        cov_se = products.std(axis=0) / math.sqrt(trials)
+        assert (np.abs(products.mean(axis=0) + M * p[:-1] * p[1:]) <= 5 * cov_se).all()
+
+
+class TestLagTable:
+    @pytest.mark.parametrize("L", [2, 40, 100])
+    def test_implied_probabilities(self, params_03, L):
+        tail = slot_probs(replace(params_03, L=L)).p[1:]
+        table = lag_table(tail)
+        buckets = max(2, 1 << (L - 2).bit_length())  # smallest power of two >= L-1
+        assert table.cutoff.size == buckets
+        implied = implied_lag_probs(table)
+        assert np.abs(implied[: L - 1] - tail / tail.sum()).max() <= 1e-12
+        assert (implied[L - 1 :] == 0).all()
+
+    def test_single_slot_memory_has_no_tail(self, params_03):
+        p1, q_tail, table = channel._transport_split(replace(params_03, L=1))
+        assert (p1, q_tail, table) == (slot_probs(replace(params_03, L=1)).p[0], 0.0, None)
+
+    def test_sample_keeps_below_cutoff_and_aliases_at_it(self, params_03):
+        table = lag_table(slot_probs(params_03).p[1:])
+        for b, cutoff in enumerate(table.cutoff.tolist()):
+            start = b << table.shift
+            end = start + (1 << table.shift)
+            words = [w for w in (start, cutoff - 1, cutoff, end - 1) if start <= w < end]
+            expected = [b if w < cutoff else int(table.lags[b]) for w in words]
+            assert table.sample(np.array(words, dtype=np.uint64)).tolist() == expected
+
+    @pytest.mark.parametrize("L", [1, 100])
+    def test_transport_runs_at_any_memory(self, params_03, L):
+        params = replace(params_03, L=L)
+        trials = 20_000
+        M, p = params.M, slot_probs(params).p
+        x = isolated_windows(transmit_counts, params, trials, seed=L)
+        assert x.sum(axis=1).max() <= M
+        se = np.sqrt(M * p * (1 - p) / trials)
+        assert (np.abs(x.mean(axis=0) - M * p) <= 5 * se).all()
 
 
 class TestCalibration:
@@ -392,6 +506,12 @@ class TestChannelConfig:
         cfg.write_text("D = 79.4\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_channel_config(cfg)
+
+    def test_fractional_molecule_count_rejected(self, params_03):
+        with pytest.raises(ValueError, match="100.5"):
+            params_03.with_molecules(100.5)
+        assert params_03.with_molecules(101.0) == replace(params_03, M=101)
+        assert type(params_03.with_molecules(101.0).M) is int
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,14 @@ class TestExperimentCommands:
         assert lines[1].startswith("uncoded,na,0.3,40,200,0,1000,")
         assert (tmp_path / "ber.manifest.txt").exists()
 
+    def test_fractional_molecule_sweep_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ber.csv"
+        argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--out", str(out)]
+        assert main(argv + ["--sweep", "100.5:101.5:0.5", "--trials", "1000"]) == 2
+        assert "100.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_isi_end_to_end(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "isi.csv"

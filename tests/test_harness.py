@@ -229,6 +229,13 @@ class TestBerExperiments:
             run_ber_experiment(config, "ber-m")
         assert pilots == []
 
+    def test_fractional_molecule_sweep_fails_before_any_pilot(self, params_03, monkeypatch):
+        pilots = count_pilots(monkeypatch)
+        config = small_config(params_03, sweep=(100.0, 100.5, 101.0))
+        with pytest.raises(ValueError, match="100.5"):
+            run_ber_experiment(config, "ber-m")
+        assert pilots == []
+
     def test_one_pilot_per_point_and_unchanged_rows(self, params_03, monkeypatch):
         pilots = count_pilots(monkeypatch)
         config = small_config(params_03)
