@@ -18,7 +18,8 @@ so the M molecules of one transmitted 1 land multinomially over
 X_1 ~ Bin(M, p_1) molecules in the emission's own slot, then
 T ~ Bin(M - X_1, P_tail / (1 - p_1)) in lags 2..L with P_tail = p_2 + ... +
 p_L, and each of those T molecules takes lag d with probability
-p_d / P_tail from a Walker alias table (A. J. Walker, ACM TOMS 3(3), 1977).
+p_d / P_tail from a guide table over 2^16 cells of the tail CDF (Chen &
+Asau, AIIE Trans. 6(2), 1974).
 Receiver noise is zero-mean Gaussian added per slot, and detection
 thresholds the real-valued slot observation.
 """
@@ -240,80 +241,75 @@ class ReceivedFrame:
     decisions: np.ndarray | None
 
 
-class LagTable:
-    """Walker alias table over the tail lags 2..L, indexed from 0.
+class GuideTable:
+    """Guide table over the tail lags 2..L, as slot offsets 1..L-1.
 
-    A 64-bit word w picks bucket b = w >> shift from its high bits.  It keeps
-    tail index b when w < cutoff[b], i.e. when its low bits fall under the
-    bucket's integer keep threshold, and takes the bucket's alias otherwise.
-    `lags` lists the K buckets' aliases, then 0 .. K-1, so one lookup at
-    b + K * kept gives the tail index.  A plain class, because a dataclass
-    would add ~1 ms to every import of this module.
+    The tail CDF is cut into 2^16 cells of 2^64 units each.  A cell inside
+    one lag holds its offset; the r-th cell that lag boundaries cross holds
+    -1 - r, and a fix-up word w resolves it to top[r] - #(w < offsets[r]),
+    the boundaries' in-cell units padded with 0.  A plain class, because a
+    dataclass would add ~1 ms to every import of this module.
     """
 
-    __slots__ = ("shift", "cutoff", "lags")
+    __slots__ = ("guide", "top", "offsets")
 
-    def __init__(self, shift: int, cutoff: np.ndarray, lags: np.ndarray):
-        self.shift = shift
-        self.cutoff = cutoff  # uint64, (b << shift) + keep threshold
-        self.lags = lags  # int64, (alias_0 .. alias_{K-1}, 0 .. K-1)
+    def __init__(self, guide: np.ndarray, top: np.ndarray, offsets: np.ndarray):
+        self.guide = guide  # int8 up to L = 128, else wider; one entry per cell
+        self.top = top  # offset at the end of each crossed cell
+        self.offsets = offsets  # uint64, (crossed cells, most boundaries in one)
+        for a in (guide, top, offsets):
+            a.setflags(write=False)  # one table serves every caller through the cache
 
-    def sample(self, words: np.ndarray) -> np.ndarray:
-        """Tail index (lag - 2) of each word's molecule."""
-        b = (words >> self.shift).view(np.int64)
-        b += (words < self.cutoff[b]) * self.cutoff.size
-        return self.lags[b]
+    def sample(self, cells: np.ndarray, fixup) -> np.ndarray:
+        """Slot offset of each molecule from its uint16 cell; `fixup(k)`
+        returns 64-bit words for the k molecules in crossed cells."""
+        lags = np.take(self.guide, cells)
+        hit = np.flatnonzero(lags < 0)
+        if hit.size:
+            rows = -1 - lags[hit]
+            words = fixup(hit.size)
+            lags[hit] = self.top[rows] - (words[:, None] < self.offsets[rows]).sum(axis=1)
+        return lags
 
 
-def lag_table(tail) -> LagTable:
-    """Alias table for lag probabilities proportional to `tail` (p_2 .. p_L).
-
-    The bucket count is the smallest power of two holding every tail lag,
-    and at least 2 so that the bucket shift stays below 64.  Keep thresholds
-    are rounded to 2^-shift of a bucket, finer than a float64 uniform.
-    """
-    tail = np.asarray(tail, dtype=np.float64)
-    bits = max(1, (tail.size - 1).bit_length())
-    buckets, shift = 1 << bits, 64 - bits
-    scaled = np.zeros(buckets)
-    scaled[: tail.size] = tail * (buckets / tail.sum())
-    keep = np.ones(buckets)
-    alias = np.arange(buckets)
-    small = [b for b in range(buckets) if scaled[b] < 1.0]
-    large = [b for b in range(buckets) if scaled[b] >= 1.0]
-    # Vose's pairing: each short bucket is topped up from one tall bucket
-    while small and large:
-        s, t = small.pop(), large.pop()
-        keep[s], alias[s] = scaled[s], t
-        scaled[t] = (scaled[t] + scaled[s]) - 1.0
-        (small if scaled[t] < 1.0 else large).append(t)
-    # leftovers hold a whole bucket up to rounding: they keep it, aliased to
-    # themselves, so clamping the last cutoff below 2^64 changes nothing
-    cutoff = np.empty(buckets, dtype=np.uint64)
-    for b in range(buckets):
-        threshold = round(float(keep[b]) * 2.0**shift)
-        if threshold >= 1 << shift:
-            threshold, alias[b] = 1 << shift, b
-        cutoff[b] = min((b << shift) + threshold, (1 << 64) - 1)
-    lags = np.concatenate([alias, np.arange(buckets)])
-    cutoff.setflags(write=False)
-    lags.setflags(write=False)
-    return LagTable(shift=shift, cutoff=cutoff, lags=lags)
+def guide_table(tail) -> GuideTable:
+    """Guide table for lag probabilities proportional to `tail` (p_2 .. p_L).
+    Boundaries sit at floor(CDF * 2^80) units: exact to 2^-80 of the float
+    CDF, finer than a float64 uniform."""
+    cdf = np.cumsum(np.asarray(tail, dtype=np.float64))
+    scaled = np.ldexp(cdf[:-1] / cdf[-1], 16)
+    cell = np.floor(scaled)
+    offset = np.ldexp(scaled - cell, 64).astype(np.uint64)  # exact, truncated
+    edges = np.arange(1 << 16)
+    # boundaries at or before each cell's start, and before its end
+    first = np.searchsorted(cell + (offset > 0), edges, side="right")
+    last = np.searchsorted(cell, edges, side="right")
+    rows = np.flatnonzero(last > first)
+    # the smallest signed type holding offsets up to L - 1 and markers down to 2 - L
+    guide = (first + 1).astype(np.min_scalar_type(-1 - cdf.size))
+    guide[rows] = -1 - np.arange(rows.size)
+    inside = last[rows] - first[rows]
+    col = np.arange(int(inside.max(initial=0)))
+    offsets = np.zeros((rows.size, col.size), dtype=np.uint64)
+    used = col < inside[:, None]
+    offsets[used] = offset[(first[rows][:, None] + col)[used]]
+    return GuideTable(guide=guide, top=last[rows] + 1, offsets=offsets)
 
 
 @lru_cache(maxsize=64)
-def _transport_split(params: ChannelParams) -> tuple[float, float, LagTable | None]:
-    """(p_1, P_tail / (1 - p_1), tail lag table), or no table when L = 1.
-    Built at the first transport call for a channel, then reused."""
-    p = slot_probs(params).p
+def _transport_split(D: float, r: float, r0: float, ts: float, L: int):
+    """(p_1, P_tail / (1 - p_1), tail guide table), or no table when L = 1.
+    Keyed on the lag law's own parameters, so a sweep over M or sigma_n2
+    builds it once, at its first transport call."""
+    p = slot_probs(ChannelParams(D=D, r=r, r0=r0, ts=ts, L=L, M=0, sigma_n2=0.0)).p
     if p.size == 1:
         return float(p[0]), 0.0, None
-    return float(p[0]), float(p[1:].sum() / (1.0 - p[0])), lag_table(p[1:])
+    return float(p[0]), float(p[1:].sum() / (1.0 - p[0])), guide_table(p[1:])
 
 
-# emissions per chunk of tail-molecule words: at M=300, L=40 about 66 tail
-# molecules per emission, so each per-chunk molecule array stays near 0.5 MB.
-# The words are drawn in stream order, so the counts do not depend on this size.
+# emissions per chunk of tail molecules (~66 each at M=300, L=40, so ~0.5 MB of
+# molecule arrays).  Unused cells carry to the next chunk and fix-up words come
+# from their own stream, so the counts do not depend on this size.
 TRANSPORT_CHUNK = 1 << 10
 
 
@@ -327,7 +323,7 @@ def transmit_counts(
 
     Each 1 releases M molecules whose landing slots are multinomial over
     (p_1 .. p_L, never-absorbed), drawn as an own-slot binomial, a tail
-    binomial on the rest and one alias-table lag per tail molecule.  With
+    binomial on the rest and one guide-table lag per tail molecule.  With
     include_own_slot=False the same-slot arrivals are still drawn (the tail
     depends on them) but dropped, leaving pure interference counts.
     Contributions beyond the pattern end are discarded.
@@ -338,20 +334,27 @@ def transmit_counts(
     ones = np.flatnonzero(tx_bits)
     if params.M == 0 or not ones.size:
         return counts[:S]
-    p1, q_tail, table = _transport_split(params)
+    p1, q_tail, table = _transport_split(params.D, params.r, params.r0, params.ts, L)
     own = rng.binomial(params.M, p1, size=ones.size)
     if include_own_slot:
         counts[ones] += own
     if table is None:
         return counts[:S]
     tail = rng.binomial(params.M - own, q_tail)
+    fixup = np.random.PCG64(rng.bit_generator.random_raw()).random_raw
+    cells = np.empty(0, dtype=np.uint16)
     for lo in range(0, ones.size, TRANSPORT_CHUNK):
         pos, n = ones[lo : lo + TRANSPORT_CHUNK], tail[lo : lo + TRANSPORT_CHUNK]
         base = int(pos[0])
         span = int(pos[-1]) - base + L
-        # slot of each tail molecule relative to base: its emission + 1 + tail index
-        slots = np.repeat(pos - (base - 1), n)
-        slots += table.sample(rng.bit_generator.random_raw(int(n.sum())))
+        need = int(n.sum())
+        # four cells per 64-bit word, after the up to three the last chunk left
+        words = rng.bit_generator.random_raw((need - cells.size + 3) // 4)
+        cells = np.concatenate([cells, words.view(np.uint16)])
+        # slot of each tail molecule relative to base: its emission + offset
+        slots = np.repeat(pos - base, n)
+        slots += table.sample(cells[:need], fixup)
+        cells = cells[need:]
         counts[base : base + span] += np.bincount(slots, minlength=span)
     return counts[:S]
 

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from isiecc import (
     swap_gain,
 )
 from isiecc import channel
-from isiecc.channel import TRANSPORT_CHUNK, lag_table, transmit_counts
+from isiecc.channel import TRANSPORT_CHUNK, guide_table, transmit_counts
 from isiecc.codec import swap_pairs
 from isiecc.harness import UncodedStream
 
@@ -332,15 +333,30 @@ def multinomial_pmf(x, M: int, p) -> float:
     return ways * math.prod(float(pi) ** v for pi, v in zip(p, x)) * (1.0 - float(p.sum())) ** rest
 
 
-def implied_lag_probs(table) -> np.ndarray:
-    """Exact lag law of LagTable.sample: every 64-bit word counted once."""
-    span = 1 << table.shift
-    mass = [0] * table.cutoff.size
-    for b in range(table.cutoff.size):
-        kept = int(table.cutoff[b]) - (b << table.shift)
-        mass[b] += kept
-        mass[int(table.lags[b])] += span - kept
-    return np.array([m / 2**64 for m in mass])
+def implied_lag_probs(table, lags: int) -> np.ndarray:
+    """Exact law of GuideTable.sample over slot offsets 0 .. lags: every
+    (16-bit cell, 64-bit fix-up word) pair counted once."""
+    mass = [0] * (lags + 1)
+    for offset in table.guide.tolist():
+        if offset >= 0:
+            mass[offset] += 1 << 64
+    for top, row in zip(table.top.tolist(), table.offsets.tolist()):
+        # fix-up words in [a, b) between consecutive offsets share one lag
+        cuts = sorted({0, *row, 1 << 64})
+        for a, b in zip(cuts, cuts[1:]):
+            mass[top - sum(o > a for o in row)] += b - a
+    return np.array([m / 2**80 for m in mass])
+
+
+def lag_boundaries(tail) -> list[int]:
+    """Inner lag boundaries in units of 2^-80: floor(CDF * 2^80)."""
+    cdf = np.cumsum(tail)
+    return [int(math.ldexp(c, 80)) for c in (cdf[:-1] / cdf[-1]).tolist()]
+
+
+# lags of probability 1e-7 < 2^-16: two boundaries share the cell starting at
+# 0.5 and a third has a cell of its own, so that row of offsets is 0-padded
+RARE_TAIL = np.array([0.5, 1e-7, 1e-7, 0.3, 0.2 - 2e-7])
 
 
 SAMPLERS = pytest.mark.parametrize(
@@ -399,28 +415,54 @@ class TestTransportLaw:
 
 
 class TestLagTable:
-    @pytest.mark.parametrize("L", [2, 40, 100])
+    @pytest.mark.parametrize("L", [2, 40, 100, 200])
     def test_implied_probabilities(self, params_03, L):
         tail = slot_probs(replace(params_03, L=L)).p[1:]
-        table = lag_table(tail)
-        buckets = max(2, 1 << (L - 2).bit_length())  # smallest power of two >= L-1
-        assert table.cutoff.size == buckets
-        implied = implied_lag_probs(table)
-        assert np.abs(implied[: L - 1] - tail / tail.sum()).max() <= 1e-12
-        assert (implied[L - 1 :] == 0).all()
+        table = guide_table(tail)
+        assert table.guide.shape == (1 << 16,)
+        assert table.guide.dtype == (np.int8 if L - 1 <= 127 else np.int16)
+        implied = implied_lag_probs(table, L - 1)
+        assert implied[0] == 0
+        assert np.abs(implied[1:] - tail / tail.sum()).max() <= 1e-12
 
     def test_single_slot_memory_has_no_tail(self, params_03):
-        p1, q_tail, table = channel._transport_split(replace(params_03, L=1))
-        assert (p1, q_tail, table) == (slot_probs(replace(params_03, L=1)).p[0], 0.0, None)
+        p = replace(params_03, L=1)
+        p1, q_tail, table = channel._transport_split(p.D, p.r, p.r0, p.ts, p.L)
+        assert (p1, q_tail, table) == (slot_probs(p).p[0], 0.0, None)
 
-    def test_sample_keeps_below_cutoff_and_aliases_at_it(self, params_03):
-        table = lag_table(slot_probs(params_03).p[1:])
-        for b, cutoff in enumerate(table.cutoff.tolist()):
-            start = b << table.shift
-            end = start + (1 << table.shift)
-            words = [w for w in (start, cutoff - 1, cutoff, end - 1) if start <= w < end]
-            expected = [b if w < cutoff else int(table.lags[b]) for w in words]
-            assert table.sample(np.array(words, dtype=np.uint64)).tolist() == expected
+    @pytest.mark.parametrize("tail", ["L=40", "rare"])
+    def test_straddled_cells_resolve_at_each_boundary(self, params_03, tail):
+        tail = slot_probs(params_03).p[1:] if tail == "L=40" else RARE_TAIL
+        table = guide_table(tail)
+        bounds = lag_boundaries(tail)
+        inner = [b for b in bounds if b % (1 << 64)]
+        assert (table.guide < 0).sum() == len({b >> 64 for b in inner})
+        # every cell at its first and its last unit
+        cells = np.arange(1 << 16, dtype=np.uint16)
+        for w in (0, (1 << 64) - 1):
+            got = table.sample(cells, lambda k: np.full(k, w, dtype=np.uint64))
+            expected = [1 + bisect_right(bounds, (c << 64) + w) for c in range(1 << 16)]
+            assert got.tolist() == expected
+        # in a straddled cell, the words just below and at each boundary
+        for b in inner:
+            words = np.array([b % (1 << 64) - 1, b % (1 << 64)], dtype=np.uint64)
+            got = table.sample(np.full(2, b >> 64, dtype=np.uint16), lambda k: words[:k])
+            assert got.tolist() == [1 + bisect_right(bounds, b - 1), 1 + bisect_right(bounds, b)]
+
+    def test_rare_lags_sharing_a_cell(self):
+        table = guide_table(RARE_TAIL)
+        assert table.offsets.shape == (2, 2) and (table.offsets == 0).sum() == 1
+        implied = implied_lag_probs(table, RARE_TAIL.size)
+        assert np.abs(implied[1:] - RARE_TAIL / RARE_TAIL.sum()).max() <= 1e-12
+        # molecules in the shared cell draw both rare lags at their in-cell
+        # rate 1e-7 * 2^16, within 5 binomial standard errors
+        trials = 100_000
+        cell = np.full(trials, 1 << 15, dtype=np.uint16)
+        drawn = np.bincount(table.sample(cell, np.random.PCG64(5).random_raw), minlength=6)
+        rate = 1e-7 * (1 << 16)
+        se = math.sqrt(trials * rate * (1 - rate))
+        assert drawn[0] == drawn[1] == drawn[5] == 0
+        assert (np.abs(drawn[2:4] - trials * rate) <= 5 * se).all()
 
     @pytest.mark.parametrize("L", [1, 100])
     def test_transport_runs_at_any_memory(self, params_03, L):

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -10,9 +11,10 @@ from isiecc import (
     run_ber_experiment,
     run_isi_experiment,
     slot_probs,
+    streaming_expected_isi,
     write_report,
 )
-from isiecc import harness
+from isiecc import channel, harness
 from isiecc.bits import bits_to_str, parse_bits
 from isiecc.harness import (
     CkmStreamCode,
@@ -159,6 +161,30 @@ class TestIsiExperiment:
             run_isi_experiment(config)
         assert blocks == []
 
+    @pytest.mark.parametrize("label", ["rep3", "ckm:4,5"])
+    def test_monte_carlo_column_matches_streamed_expectation(self, params_03, label):
+        # exact oracle: M times the endless-stream expected interference of
+        # the transmitted words' per-position densities.  Each call below
+        # runs one default-size block on its own seed; the tolerance, 5
+        # standard errors of the 16 block means, was fixed before the first
+        # run.  Each block starts after L silent slots, which lowers its mean
+        # by at most 0.004 molecules here, under a tenth of a standard error.
+        coder = make_coder(label)
+        profile = slot_probs(params_03)
+        densities = coder.transmitted_words().mean(axis=0)
+        positions = range(1, coder.block_len + 1)
+        exact = params_03.M * np.array(
+            [streaming_expected_isi(densities, pos, profile) for pos in positions]
+        )
+        blocks = np.array(
+            [
+                harness._isi_mc_profile(coder, params_03, harness.DEFAULT_BLOCK_SIZE, seed)
+                for seed in range(16)
+            ]
+        )
+        se = blocks.std(axis=0, ddof=1) / math.sqrt(len(blocks))
+        assert (np.abs(blocks.mean(axis=0) - exact) <= 5 * se).all()
+
     def test_streamed_last_bit_below_repetition3(self, params_03):
         config = small_config(
             params_03, codes=("ckm:4,5", "rep3"), trials=20_000, sweep=()
@@ -216,6 +242,17 @@ class TestBerExperiments:
             coder, params, trials=2_000, seed=5, block_size=500, threshold=theta
         )
         assert (errors, bits, theta) == (replay_errors, replay_bits, replay_theta)
+
+    def test_sweep_builds_one_guide_table(self, params_03, monkeypatch):
+        # the lag law does not depend on M, so a 3-point ber-m sweep (3 pilots
+        # and every block of 3 codes) builds its guide table once
+        built = []
+        real = channel.guide_table
+        monkeypatch.setattr(channel, "guide_table", lambda tail: built.append(1) or real(tail))
+        channel._transport_split.cache_clear()
+        config = small_config(params_03, sweep=(150.0, 200.0, 250.0), trials=500)
+        run_ber_experiment(config, "ber-m")
+        assert len(built) == 1
 
     def test_empty_sweep_rejected(self, params_03):
         config = small_config(params_03, sweep=())
