@@ -15,11 +15,11 @@ current one are intersymbol interference.
 Transport is simulated exactly.  A molecule is absorbed in at most one slot,
 so the M molecules of one transmitted 1 land multinomially over
 (p_1 .. p_L, never-absorbed).  That law is drawn by its own decomposition:
-X_1 ~ Bin(M, p_1) molecules in the emission's own slot, then
-T ~ Bin(M - X_1, P_tail / (1 - p_1)) in lags 2..L with P_tail = p_2 + ... +
-p_L, and each of those T molecules takes lag d with probability
-p_d / P_tail from a guide table over 2^16 cells of the tail CDF (Chen &
-Asau, AIIE Trans. 6(2), 1974).
+the own-slot count X_1 and the count T in lags 2..L jointly, from
+P(x, t) = Bin(M, p_1)(x) Bin(M - x, P_tail / (1 - p_1))(t) with P_tail =
+p_2 + ... + p_L, then each of those T molecules takes lag d with
+probability p_d / P_tail.  Both laws are drawn from guide tables over 2^16
+cells of their CDFs (Chen & Asau, AIIE Trans. 6(2), 1974).
 Receiver noise is zero-mean Gaussian added per slot, and detection
 thresholds the real-valued slot observation.
 """
@@ -60,15 +60,18 @@ class ChannelParams:
             raise ValueError(f"need r0 > r > 0, got r={self.r}, r0={self.r0}")
         if self.D <= 0 or self.ts <= 0:
             raise ValueError("D and ts must be positive")
+        for name, what in (("L", "channel memory L"), ("M", "molecules per 1-bit")):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{what} must be a whole number, got {value}")
+            object.__setattr__(self, name, int(value))
         if self.L < 1:
             raise ValueError("channel memory L must be at least 1 slot")
         if self.M < 0 or self.sigma_n2 < 0:
             raise ValueError("M and sigma_n2 must be non-negative")
 
     def with_molecules(self, M: int) -> "ChannelParams":
-        if M != int(M):
-            raise ValueError(f"molecules per 1-bit must be a whole number, got {M}")
-        return replace(self, M=int(M))
+        return replace(self, M=M)
 
     def with_noise(self, sigma_n2: float) -> "ChannelParams":
         return replace(self, sigma_n2=float(sigma_n2))
@@ -242,74 +245,93 @@ class ReceivedFrame:
 
 
 class GuideTable:
-    """Guide table over the tail lags 2..L, as slot offsets 1..L-1.
+    """Draws values[i] (non-negative) with probability proportional to
+    probs[i], from a guide table over 2^16 cells of the CDF.
 
-    The tail CDF is cut into 2^16 cells of 2^64 units each.  A cell inside
-    one lag holds its offset; the r-th cell that lag boundaries cross holds
-    -1 - r, and a fix-up word w resolves it to top[r] - #(w < offsets[r]),
-    the boundaries' in-cell units padded with 0.  A plain class, because a
+    The CDF's inner boundaries sit at keys = floor(CDF * 2^64), so every
+    outcome spans a whole number of 2^-64 units, far finer than the float64
+    CDF.  A cell of 2^48 units inside one outcome holds its value; a cell
+    that a boundary crosses holds -1, and a fix-up word w resolves it by
+    searching cell * 2^48 + (w >> 16) in the keys.  A plain class, because a
     dataclass would add ~1 ms to every import of this module.
     """
 
-    __slots__ = ("guide", "top", "offsets")
+    __slots__ = ("guide", "keys", "values")
 
-    def __init__(self, guide: np.ndarray, top: np.ndarray, offsets: np.ndarray):
-        self.guide = guide  # int8 up to L = 128, else wider; one entry per cell
-        self.top = top  # offset at the end of each crossed cell
-        self.offsets = offsets  # uint64, (crossed cells, most boundaries in one)
-        for a in (guide, top, offsets):
+    def __init__(self, probs, values):
+        cdf = np.cumsum(probs)
+        # a boundary that rounds to the top of the CDF stays below 2^64
+        scaled = np.minimum(np.ldexp(cdf[:-1] / cdf[-1], 64), np.nextafter(2.0**64, 0))
+        self.keys = scaled.astype(np.uint64)  # exact, truncated
+        # the smallest signed type holding every value and the -1 marker
+        self.values = np.asarray(values).astype(np.min_scalar_type(-1 - int(np.max(values))))
+        # outcome i fills the cells from key i-1's up to key i's, and a cell
+        # that a key falls strictly inside is marked crossed
+        cell = (self.keys >> 48).astype(np.int64)
+        self.guide = np.repeat(self.values, np.diff(cell, prepend=0, append=1 << 16))
+        self.guide[cell[(self.keys & (1 << 48) - 1) > 0]] = -1
+        for a in (self.guide, self.keys, self.values):
             a.setflags(write=False)  # one table serves every caller through the cache
 
     def sample(self, cells: np.ndarray, fixup) -> np.ndarray:
-        """Slot offset of each molecule from its uint16 cell; `fixup(k)`
-        returns 64-bit words for the k molecules in crossed cells."""
-        lags = np.take(self.guide, cells)
-        hit = np.flatnonzero(lags < 0)
+        """Value drawn for each uint16 cell; `fixup(k)` returns 64-bit words
+        for the k draws in crossed cells."""
+        out = np.take(self.guide, cells)
+        hit = np.flatnonzero(out < 0)
         if hit.size:
-            rows = -1 - lags[hit]
-            words = fixup(hit.size)
-            lags[hit] = self.top[rows] - (words[:, None] < self.offsets[rows]).sum(axis=1)
-        return lags
-
-
-def guide_table(tail) -> GuideTable:
-    """Guide table for lag probabilities proportional to `tail` (p_2 .. p_L).
-    Boundaries sit at floor(CDF * 2^80) units: exact to 2^-80 of the float
-    CDF, finer than a float64 uniform."""
-    cdf = np.cumsum(np.asarray(tail, dtype=np.float64))
-    scaled = np.ldexp(cdf[:-1] / cdf[-1], 16)
-    cell = np.floor(scaled)
-    offset = np.ldexp(scaled - cell, 64).astype(np.uint64)  # exact, truncated
-    edges = np.arange(1 << 16)
-    # boundaries at or before each cell's start, and before its end
-    first = np.searchsorted(cell + (offset > 0), edges, side="right")
-    last = np.searchsorted(cell, edges, side="right")
-    rows = np.flatnonzero(last > first)
-    # the smallest signed type holding offsets up to L - 1 and markers down to 2 - L
-    guide = (first + 1).astype(np.min_scalar_type(-1 - cdf.size))
-    guide[rows] = -1 - np.arange(rows.size)
-    inside = last[rows] - first[rows]
-    col = np.arange(int(inside.max(initial=0)))
-    offsets = np.zeros((rows.size, col.size), dtype=np.uint64)
-    used = col < inside[:, None]
-    offsets[used] = offset[(first[rows][:, None] + col)[used]]
-    return GuideTable(guide=guide, top=last[rows] + 1, offsets=offsets)
+            units = cells[hit].astype(np.uint64) << 48 | fixup(hit.size) >> 16
+            out[hit] = self.values[np.searchsorted(self.keys, units, side="right")]
+        return out
 
 
 @lru_cache(maxsize=64)
 def _transport_split(D: float, r: float, r0: float, ts: float, L: int):
-    """(p_1, P_tail / (1 - p_1), tail guide table), or no table when L = 1.
-    Keyed on the lag law's own parameters, so a sweep over M or sigma_n2
-    builds it once, at its first transport call."""
+    """(p_1, q = P_tail / (1 - p_1), table over a tail molecule's slot
+    offsets 1..L-1), or no table when L = 1.  Keyed on the lag law's own
+    parameters, so a sweep over M or sigma_n2 builds it once, at its first
+    transport call."""
     p = slot_probs(ChannelParams(D=D, r=r, r0=r0, ts=ts, L=L, M=0, sigma_n2=0.0)).p
     if p.size == 1:
         return float(p[0]), 0.0, None
-    return float(p[0]), float(p[1:].sum() / (1.0 - p[0])), guide_table(p[1:])
+    return float(p[0]), float(p[1:].sum() / (1.0 - p[0])), GuideTable(p[1:], np.arange(1, L))
+
+
+@lru_cache(maxsize=16)
+def _emission_table(D: float, r: float, r0: float, ts: float, L: int, M: int) -> GuideTable:
+    """Table over one emission's own-slot count X_1 and tail count T, packed
+    as X_1 | T << M.bit_length(), with P(x, t) = Bin(M, p_1)(x) Bin(M - x,
+    q)(t) and T = 0 at L = 1.  Only outcomes above 2^-100 are enumerated,
+    ~60 per molecule at L = 40, ts = 0.3 s: by Hoeffding's bound, a Bin(n, q)
+    pmf above 2^-100 / P(x) lies within sqrt(n (101 ln 2 + ln P(x)) / 2) of
+    n q."""
+    p1, q, _ = _transport_split(D, r, r0, ts, L)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(M + 1)])
+    floor = -100 * math.log(2)
+
+    def log_pmf(n, k, prob):  # of Bin(n, prob) at k
+        log_p = log_fact[n] - log_fact[k] - log_fact[n - k]
+        return log_p + k * math.log(prob) + (n - k) * math.log1p(-prob)
+
+    x = np.arange(M + 1)
+    log_p = log_pmf(M, x, p1)
+    x, log_p = x[log_p > floor], log_p[log_p > floor]
+    t = np.zeros_like(x)
+    if q > 0:
+        n = M - x
+        half = np.sqrt(n * (101 * math.log(2) + log_p) / 2)
+        lo = np.maximum(np.ceil(n * q - half), 0).astype(np.int64)
+        size = np.minimum(np.floor(n * q + half), n).astype(np.int64) - lo + 1
+        x, log_p = np.repeat(x, size), np.repeat(log_p, size)
+        t = np.arange(x.size) - np.repeat(np.cumsum(size) - size - lo, size)
+        log_p += log_pmf(M - x, t, q)
+    keep = log_p > floor
+    return GuideTable(np.exp(log_p[keep]), (x | t << M.bit_length())[keep])
 
 
 # emissions per chunk of tail molecules (~66 each at M=300, L=40, so ~0.5 MB of
-# molecule arrays).  Unused cells carry to the next chunk and fix-up words come
-# from their own stream, so the counts do not depend on this size.
+# molecule arrays).  Cells form one stream (emissions first, then molecules)
+# whose unused cells carry to the next chunk, and fix-up words come from their
+# own stream, so the counts do not depend on this size.
 TRANSPORT_CHUNK = 1 << 10
 
 
@@ -322,10 +344,10 @@ def transmit_counts(
     """Absorbed-molecule counts per slot for a 0/1 transmit pattern.
 
     Each 1 releases M molecules whose landing slots are multinomial over
-    (p_1 .. p_L, never-absorbed), drawn as an own-slot binomial, a tail
-    binomial on the rest and one guide-table lag per tail molecule.  With
-    include_own_slot=False the same-slot arrivals are still drawn (the tail
-    depends on them) but dropped, leaving pure interference counts.
+    (p_1 .. p_L, never-absorbed), drawn as one joint table draw of the
+    own-slot and tail counts and one guide-table lag per tail molecule.
+    With include_own_slot=False the same-slot arrivals are still drawn (the
+    tail depends on them) but dropped, leaving pure interference counts.
     Contributions beyond the pattern end are discarded.
     """
     L = params.L
@@ -334,26 +356,29 @@ def transmit_counts(
     ones = np.flatnonzero(tx_bits)
     if params.M == 0 or not ones.size:
         return counts[:S]
-    p1, q_tail, table = _transport_split(params.D, params.r, params.r0, params.ts, L)
-    own = rng.binomial(params.M, p1, size=ones.size)
-    if include_own_slot:
-        counts[ones] += own
-    if table is None:
-        return counts[:S]
-    tail = rng.binomial(params.M - own, q_tail)
+    emission = _emission_table(params.D, params.r, params.r0, params.ts, L, params.M)
     fixup = np.random.PCG64(rng.bit_generator.random_raw()).random_raw
-    cells = np.empty(0, dtype=np.uint16)
+    cells = rng.bit_generator.random_raw((ones.size + 3) // 4).view(np.uint16)
+    drawn = emission.sample(cells[: ones.size], fixup)
+    shift = params.M.bit_length()
+    if include_own_slot:
+        counts[ones] += drawn & (1 << shift) - 1
+    lags = _transport_split(params.D, params.r, params.r0, params.ts, L)[2]
+    if lags is None:
+        return counts[:S]
+    tail = drawn >> shift
+    cells = cells[ones.size :]
     for lo in range(0, ones.size, TRANSPORT_CHUNK):
         pos, n = ones[lo : lo + TRANSPORT_CHUNK], tail[lo : lo + TRANSPORT_CHUNK]
         base = int(pos[0])
         span = int(pos[-1]) - base + L
         need = int(n.sum())
-        # four cells per 64-bit word, after the up to three the last chunk left
+        # four cells per 64-bit word, after the up to three left over
         words = rng.bit_generator.random_raw((need - cells.size + 3) // 4)
         cells = np.concatenate([cells, words.view(np.uint16)])
         # slot of each tail molecule relative to base: its emission + offset
         slots = np.repeat(pos - base, n)
-        slots += table.sample(cells[:need], fixup)
+        slots += lags.sample(cells[:need], fixup)
         cells = cells[need:]
         counts[base : base + span] += np.bincount(slots, minlength=span)
     return counts[:S]

@@ -1,5 +1,6 @@
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from isiecc import (
     swap_gain,
 )
 from isiecc import channel
-from isiecc.channel import TRANSPORT_CHUNK, guide_table, transmit_counts
+from isiecc.channel import TRANSPORT_CHUNK, GuideTable, transmit_counts
 from isiecc.codec import swap_pairs
 from isiecc.harness import UncodedStream
 
@@ -316,6 +317,25 @@ class TestTransport:
         with pytest.raises(ValueError):
             simulate_stream(np.zeros((0, 1), dtype=np.uint8), UncodedStream(), params_03, 1)
 
+    def test_stream_slot_count_moments(self, params_03):
+        # an uncoded i.i.d. stream with P(1) = 1/2: each slot sums one term
+        # b X_d per lag d from a different emission, so its mean is
+        # rho M sum p_d and its variance sums rho (M p_d (1 - p_d) + M^2 p_d^2)
+        # - rho^2 M^2 p_d^2 exactly.  Batch means over 100 blocks of 4,000
+        # slots, much longer than L, give the standard errors; 5 SE each.
+        rho, M, L, p = 0.5, params_03.M, params_03.L, slot_probs(params_03).p
+        blocks, size = 100, 4_000
+        rng = np.random.default_rng(31)
+        tx = rng.integers(0, 2, size=L + blocks * size, dtype=np.uint8)
+        counts = transmit_counts(tx, params_03, rng)[L:].reshape(blocks, size)
+        mean = rho * M * p.sum()
+        var = (rho * (M * p * (1 - p) + M**2 * p**2) - rho**2 * M**2 * p**2).sum()
+        block_means = counts.mean(axis=1)
+        block_vars = ((counts - mean) ** 2).mean(axis=1)
+        root_n = math.sqrt(blocks)
+        assert abs(block_means.mean() - mean) <= 5 * block_means.std(ddof=1) / root_n
+        assert abs(block_vars.mean() - var) <= 5 * block_vars.std(ddof=1) / root_n
+
 
 def isolated_windows(sampler, params, trials: int, seed) -> np.ndarray:
     """Per-emission slot counts (X_1 .. X_L) of `trials` isolated 1s, each
@@ -333,29 +353,51 @@ def multinomial_pmf(x, M: int, p) -> float:
     return ways * math.prod(float(pi) ** v for pi, v in zip(p, x)) * (1.0 - float(p.sum())) ** rest
 
 
-def implied_lag_probs(table, lags: int) -> np.ndarray:
-    """Exact law of GuideTable.sample over slot offsets 0 .. lags: every
-    (16-bit cell, 64-bit fix-up word) pair counted once."""
-    mass = [0] * (lags + 1)
-    for offset in table.guide.tolist():
-        if offset >= 0:
-            mass[offset] += 1 << 64
-    for top, row in zip(table.top.tolist(), table.offsets.tolist()):
-        # fix-up words in [a, b) between consecutive offsets share one lag
-        cuts = sorted({0, *row, 1 << 64})
+def implied_law(table) -> Counter:
+    """Exact law of GuideTable.sample in units of 2^-64, by outcome value:
+    every (16-bit cell, 64-bit fix-up word) pair counted once, the 2^16
+    words sharing w >> 16 making one unit."""
+    mass = Counter()
+    values, cells = np.unique(table.guide[table.guide >= 0], return_counts=True)
+    for value, n in zip(values.tolist(), cells.tolist()):
+        mass[value] += n << 48
+    keys = table.keys.tolist()
+    crossed, words, widths = [], [], []
+    for c in np.flatnonzero(table.guide < 0).tolist():
+        lo, hi = c << 48, (c + 1) << 48
+        # units between consecutive in-cell boundaries share one outcome
+        cuts = [lo, *keys[bisect_right(keys, lo) : bisect_left(keys, hi)], hi]
         for a, b in zip(cuts, cuts[1:]):
-            mass[top - sum(o > a for o in row)] += b - a
-    return np.array([m / 2**80 for m in mass])
+            crossed.append(c)
+            words.append((a - lo) << 16)
+            widths.append(b - a)
+    got = table.sample(
+        np.array(crossed, dtype=np.uint16), lambda k: np.array(words, dtype=np.uint64)[:k]
+    )
+    for value, width in zip(got.tolist(), widths):
+        mass[value] += width
+    assert sum(mass.values()) == 1 << 64
+    return mass
+
+
+def implied_lag_probs(table, lags: int) -> np.ndarray:
+    """Exact law of a lag table over slot offsets 0 .. lags."""
+    mass = implied_law(table)
+    return np.array([mass[d] / 2**64 for d in range(lags + 1)])
 
 
 def lag_boundaries(tail) -> list[int]:
-    """Inner lag boundaries in units of 2^-80: floor(CDF * 2^80)."""
+    """Inner lag boundaries in units of 2^-64: floor(CDF * 2^64)."""
     cdf = np.cumsum(tail)
-    return [int(math.ldexp(c, 80)) for c in (cdf[:-1] / cdf[-1]).tolist()]
+    return [int(math.ldexp(c, 64)) for c in (cdf[:-1] / cdf[-1]).tolist()]
+
+
+def lag_table(tail):
+    return GuideTable(tail, np.arange(1, len(tail) + 1))
 
 
 # lags of probability 1e-7 < 2^-16: two boundaries share the cell starting at
-# 0.5 and a third has a cell of its own, so that row of offsets is 0-padded
+# 0.5 and a third has a cell of its own
 RARE_TAIL = np.array([0.5, 1e-7, 1e-7, 0.3, 0.2 - 2e-7])
 
 
@@ -418,7 +460,7 @@ class TestLagTable:
     @pytest.mark.parametrize("L", [2, 40, 100, 200])
     def test_implied_probabilities(self, params_03, L):
         tail = slot_probs(replace(params_03, L=L)).p[1:]
-        table = guide_table(tail)
+        table = lag_table(tail)
         assert table.guide.shape == (1 << 16,)
         assert table.guide.dtype == (np.int8 if L - 1 <= 127 else np.int16)
         implied = implied_lag_probs(table, L - 1)
@@ -433,25 +475,27 @@ class TestLagTable:
     @pytest.mark.parametrize("tail", ["L=40", "rare"])
     def test_straddled_cells_resolve_at_each_boundary(self, params_03, tail):
         tail = slot_probs(params_03).p[1:] if tail == "L=40" else RARE_TAIL
-        table = guide_table(tail)
+        table = lag_table(tail)
         bounds = lag_boundaries(tail)
-        inner = [b for b in bounds if b % (1 << 64)]
-        assert (table.guide < 0).sum() == len({b >> 64 for b in inner})
+        inner = [b for b in bounds if b % (1 << 48)]
+        assert (table.guide < 0).sum() == len({b >> 48 for b in inner})
         # every cell at its first and its last unit
         cells = np.arange(1 << 16, dtype=np.uint16)
         for w in (0, (1 << 64) - 1):
             got = table.sample(cells, lambda k: np.full(k, w, dtype=np.uint64))
-            expected = [1 + bisect_right(bounds, (c << 64) + w) for c in range(1 << 16)]
+            expected = [1 + bisect_right(bounds, (c << 48) + (w >> 16)) for c in range(1 << 16)]
             assert got.tolist() == expected
         # in a straddled cell, the words just below and at each boundary
         for b in inner:
-            words = np.array([b % (1 << 64) - 1, b % (1 << 64)], dtype=np.uint64)
-            got = table.sample(np.full(2, b >> 64, dtype=np.uint16), lambda k: words[:k])
+            words = np.array([b % (1 << 48) - 1, b % (1 << 48)], dtype=np.uint64) << 16
+            got = table.sample(np.full(2, b >> 48, dtype=np.uint16), lambda k: words[:k])
             assert got.tolist() == [1 + bisect_right(bounds, b - 1), 1 + bisect_right(bounds, b)]
 
     def test_rare_lags_sharing_a_cell(self):
-        table = guide_table(RARE_TAIL)
-        assert table.offsets.shape == (2, 2) and (table.offsets == 0).sum() == 1
+        table = lag_table(RARE_TAIL)
+        cells = [b >> 48 for b in lag_boundaries(RARE_TAIL)]
+        assert cells[1] == cells[2] == 1 << 15 and cells[3] != cells[2]
+        assert np.flatnonzero(table.guide < 0).tolist() == sorted({cells[1], cells[3]})
         implied = implied_lag_probs(table, RARE_TAIL.size)
         assert np.abs(implied[1:] - RARE_TAIL / RARE_TAIL.sum()).max() <= 1e-12
         # molecules in the shared cell draw both rare lags at their in-cell
@@ -473,6 +517,105 @@ class TestLagTable:
         assert x.sum(axis=1).max() <= M
         se = np.sqrt(M * p * (1 - p) / trials)
         assert (np.abs(x.mean(axis=0) - M * p) <= 5 * se).all()
+
+
+def log_factorials(M: int) -> np.ndarray:
+    """ln k! for k = 0 .. M, each the log of an exact integer."""
+    out, f = [0.0], 1
+    for k in range(1, M + 1):
+        f *= k
+        out.append(math.log(f))
+    return np.array(out)
+
+
+def exact_pmf(x, t, M: int, p) -> np.ndarray:
+    """P(X_1 = x, T = t) for M molecules over (p_1, P_tail, never-absorbed)."""
+    x, t = np.asarray(x), np.asarray(t)
+    lf = log_factorials(M)
+    p1, tail = float(p[0]), float(p[1:].sum())
+    log = lf[M] - lf[x] - lf[t] - lf[M - x - t] + x * math.log(p1)
+    log += (M - x - t) * math.log1p(-p1 - tail)
+    if tail:
+        log += t * math.log(tail)
+    return np.exp(log)
+
+
+def binomial_pmf(k, n: int, prob: float) -> np.ndarray:
+    """P(Bin(n, prob) = k)."""
+    lf = log_factorials(n)
+    k = np.asarray(k)
+    return np.exp(lf[n] - lf[k] - lf[n - k] + k * math.log(prob) + (n - k) * math.log1p(-prob))
+
+
+def emission_table(params):
+    return channel._emission_table(params.D, params.r, params.r0, params.ts, params.L, params.M)
+
+
+def implied_emission_law(params):
+    """(x, t, implied probability) of every outcome the emission table draws."""
+    mass = implied_law(emission_table(params))
+    packed = np.array(sorted(mass))
+    shift = params.M.bit_length()
+    implied = np.array([mass[v] for v in packed.tolist()], dtype=np.float64) / 2**64
+    return packed & (1 << shift) - 1, packed >> shift, implied
+
+
+def check_emission_law(params):
+    """The table's implied law of (X_1, T) against the exact pmf, and T's
+    marginal against Bin(M, P_tail), both to 1e-12; returns the table's
+    outcome count."""
+    M, p = params.M, slot_probs(params).p
+    x, t, implied = implied_emission_law(params)
+    exact = exact_pmf(x, t, M, p)
+    assert np.abs(implied - exact).max() <= 1e-12
+    assert exact.sum() >= 1 - 1e-12  # the outcomes left out carry no mass
+    marginal = np.bincount(t, weights=implied, minlength=M + 1)
+    tail = float(p[1:].sum())
+    expected = binomial_pmf(np.arange(M + 1), M, tail) if tail else np.eye(M + 1)[0]
+    assert np.abs(marginal - expected).max() <= 1e-12
+    return emission_table(params).values.size
+
+
+# M = 300, L = 40 on the 0.3 s physics.  Of 200,000 isolated emissions, 1,520
+# (X_1, T) outcomes expect at least 5 and the rest pool into one bin, so the
+# statistic has 1,520 degrees of freedom; 1696.1 is the 0.999 quantile of
+# chi^2(1520) (Wilson-Hilferty), fixed before the test was first run.
+PAIR_TRIALS = 200_000
+PAIR_DF, PAIR_CRITICAL = 1520, 1696.1
+
+
+class TestEmissionTable:
+    @pytest.mark.parametrize("L", [1, 40])
+    @pytest.mark.parametrize("M", [1, 6, 150, 300])
+    def test_implied_law_is_exact(self, params_03, M, L):
+        check_emission_law(replace(params_03, M=M, L=L))
+
+    def test_large_molecule_count(self, params_03):
+        # the band of outcomes above the pmf floor is an ellipse of area
+        # ~ M (with a slowly growing log factor), not the (M+1)(M+2)/2
+        # triangle: at most 25 % above linear growth from M = 300
+        small = check_emission_law(params_03)
+        large = check_emission_law(params_03.with_molecules(2000))
+        assert large <= 1.25 * (2000 / 300) * small
+
+    def test_joint_draws_chi_square(self, params_03):
+        M, p = params_03.M, slot_probs(params_03).p
+        windows = np.concatenate(
+            [isolated_windows(transmit_counts, params_03, PAIR_TRIALS // 4, seed) for seed in range(4)]
+        )
+        x, t = windows[:, 0], windows[:, 1:].sum(axis=1)
+        observed = np.bincount(x * (M + 1) + t, minlength=(M + 1) ** 2)
+        gx, gt = np.divmod(np.arange((M + 1) ** 2), M + 1)
+        valid = gx + gt <= M
+        expected = np.zeros(observed.size)
+        expected[valid] = PAIR_TRIALS * exact_pmf(gx[valid], gt[valid], M, p)
+        assert observed[~valid].sum() == 0
+        big = expected >= 5
+        assert big.sum() == PAIR_DF
+        obs = np.append(observed[big], observed[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        stat = float((((obs - exp) ** 2) / exp).sum())
+        assert stat < PAIR_CRITICAL, f"chi^2 = {stat:.1f} on {PAIR_DF} df"
 
 
 class TestCalibration:
@@ -554,6 +697,13 @@ class TestChannelConfig:
             params_03.with_molecules(100.5)
         assert params_03.with_molecules(101.0) == replace(params_03, M=101)
         assert type(params_03.with_molecules(101.0).M) is int
+
+    @pytest.mark.parametrize("field,value", [("M", 300.5), ("L", 40.5)])
+    def test_non_whole_counts_rejected(self, params_03, field, value):
+        with pytest.raises(ValueError, match=str(value)):
+            replace(params_03, **{field: value})
+        whole = replace(params_03, **{field: float(int(value))})
+        assert whole == params_03 and type(getattr(whole, field)) is int
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):

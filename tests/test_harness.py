@@ -243,16 +243,20 @@ class TestBerExperiments:
         )
         assert (errors, bits, theta) == (replay_errors, replay_bits, replay_theta)
 
-    def test_sweep_builds_one_guide_table(self, params_03, monkeypatch):
-        # the lag law does not depend on M, so a 3-point ber-m sweep (3 pilots
-        # and every block of 3 codes) builds its guide table once
-        built = []
-        real = channel.guide_table
-        monkeypatch.setattr(channel, "guide_table", lambda tail: built.append(1) or real(tail))
-        channel._transport_split.cache_clear()
-        config = small_config(params_03, sweep=(150.0, 200.0, 250.0), trials=500)
-        run_ber_experiment(config, "ber-m")
-        assert len(built) == 1
+    def test_sweeps_build_each_table_once(self, params_03):
+        # the lag law depends on neither M nor sigma_n2 and the emission law
+        # not on sigma_n2, so over 3 pilots and every block of 3 codes a
+        # 3-point ber-m sweep builds 1 lag table and 3 emission tables, and a
+        # 3-point ber-noise sweep 1 of each
+        for kind, sweep, emission_tables in (
+            ("ber-m", (150.0, 200.0, 250.0), 3),
+            ("ber-noise", (0.0, 30.0, 60.0), 1),
+        ):
+            channel._transport_split.cache_clear()
+            channel._emission_table.cache_clear()
+            run_ber_experiment(small_config(params_03, sweep=sweep, trials=500), kind)
+            assert channel._transport_split.cache_info().misses == 1, kind
+            assert channel._emission_table.cache_info().misses == emission_tables, kind
 
     def test_empty_sweep_rejected(self, params_03):
         config = small_config(params_03, sweep=())
