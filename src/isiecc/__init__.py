@@ -22,7 +22,6 @@ from .codebook import (
 from .codec import (
     BatchCodec,
     EncodedWord,
-    SwapSchedule,
     decode,
     encode,
     post_encode,

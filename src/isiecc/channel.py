@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook, CodeSpec, build_codebook
+from .codebook import Codebook
 from .codec import swap_pairs
 
 CONFIG_KEYS = ("D_um2_per_s", "r_um", "r0_um", "ts_s", "L", "M", "sigma_n2", "seed")
@@ -56,6 +56,9 @@ class ChannelParams:
     sigma_n2: float
 
     def __post_init__(self):
+        for name in ("D", "r", "r0", "ts", "sigma_n2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.r0 > self.r > 0):
             raise ValueError(f"need r0 > r > 0, got r={self.r}, r0={self.r0}")
         if self.D <= 0 or self.ts <= 0:
@@ -97,16 +100,17 @@ def load_channel_config(path) -> tuple[ChannelParams, int]:
     missing = [k for k in CONFIG_KEYS if k not in values]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
-    params = ChannelParams(
-        D=float(values["D_um2_per_s"]),
-        r=float(values["r_um"]),
-        r0=float(values["r0_um"]),
-        ts=float(values["ts_s"]),
-        L=int(values["L"]),
-        M=int(values["M"]),
-        sigma_n2=float(values["sigma_n2"]),
-    )
-    return params, int(values["seed"])
+
+    def number(key, kind=float):
+        try:
+            return kind(values[key])
+        except ValueError:
+            raise ValueError(f"{path}: {key} must be a number, got {values[key]!r}") from None
+
+    # the ChannelParams fields in order, L and M parsed as floats like the
+    # rest so that ChannelParams judges any whole-number spelling
+    params = ChannelParams(*(number(key) for key in CONFIG_KEYS[:-1]))
+    return params, number("seed", int)
 
 
 def hitting_prob(t: float, params: ChannelParams) -> float:
@@ -216,7 +220,7 @@ def codeword_isi_bound(codeword, profile, max_parity_weight: int, message_len: i
     )
 
 
-def swap_gain(code: Codebook | CodeSpec, profile, t: int) -> float:
+def swap_gain(book: Codebook, profile, t: int) -> float:
     """Change of the two affected interference sums when the transmit swap for
     odd index t is applied alone.
 
@@ -225,7 +229,6 @@ def swap_gain(code: Codebook | CodeSpec, profile, t: int) -> float:
     is the column weight at position k+t.  Never positive, since no column
     outweighs a message column.
     """
-    book = code if isinstance(code, Codebook) else build_codebook(code.k, code.m)
     k = book.spec.k
     valid_t = tuple(a - math.ceil(k / 2) for a, _ in swap_pairs(k))
     if t not in valid_t:
@@ -284,27 +287,18 @@ class GuideTable:
         return out
 
 
-@lru_cache(maxsize=64)
-def _transport_split(D: float, r: float, r0: float, ts: float, L: int):
-    """(p_1, q = P_tail / (1 - p_1), table over a tail molecule's slot
-    offsets 1..L-1), or no table when L = 1.  Keyed on the lag law's own
-    parameters, so a sweep over M or sigma_n2 builds it once, at its first
-    transport call."""
-    p = slot_probs(ChannelParams(D=D, r=r, r0=r0, ts=ts, L=L, M=0, sigma_n2=0.0)).p
-    if p.size == 1:
-        return float(p[0]), 0.0, None
-    return float(p[0]), float(p[1:].sum() / (1.0 - p[0])), GuideTable(p[1:], np.arange(1, L))
-
-
 @lru_cache(maxsize=16)
-def _emission_table(D: float, r: float, r0: float, ts: float, L: int, M: int) -> GuideTable:
-    """Table over one emission's own-slot count X_1 and tail count T, packed
-    as X_1 | T << M.bit_length(), with P(x, t) = Bin(M, p_1)(x) Bin(M - x,
-    q)(t) and T = 0 at L = 1.  Only outcomes above 2^-100 are enumerated,
-    ~60 per molecule at L = 40, ts = 0.3 s: by Hoeffding's bound, a Bin(n, q)
-    pmf above 2^-100 / P(x) lies within sqrt(n (101 ln 2 + ln P(x)) / 2) of
-    n q."""
-    p1, q, _ = _transport_split(D, r, r0, ts, L)
+def _transport_tables(D: float, r: float, r0: float, ts: float, L: int, M: int):
+    """(emission, lags) guide tables for one channel point, built at its
+    first transport call.  `emission` is over one emission's own-slot count
+    X_1 and tail count T, packed as X_1 | T << M.bit_length(), with P(x, t)
+    = Bin(M, p_1)(x) Bin(M - x, q)(t), q = P_tail / (1 - p_1) and T = 0 at
+    L = 1; `lags` is over a tail molecule's slot offsets 1..L-1, None at
+    L = 1.  Only outcomes above 2^-100 are enumerated, ~60 per molecule at
+    L = 40, ts = 0.3 s: by Hoeffding's bound, a Bin(n, q) pmf above 2^-100 /
+    P(x) lies within sqrt(n (101 ln 2 + ln P(x)) / 2) of n q."""
+    p = slot_probs(ChannelParams(D=D, r=r, r0=r0, ts=ts, L=L, M=M, sigma_n2=0.0)).p
+    p1, q = float(p[0]), float(p[1:].sum() / (1.0 - p[0]))
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(M + 1)])
     floor = -100 * math.log(2)
 
@@ -325,7 +319,8 @@ def _emission_table(D: float, r: float, r0: float, ts: float, L: int, M: int) ->
         t = np.arange(x.size) - np.repeat(np.cumsum(size) - size - lo, size)
         log_p += log_pmf(M - x, t, q)
     keep = log_p > floor
-    return GuideTable(np.exp(log_p[keep]), (x | t << M.bit_length())[keep])
+    emission = GuideTable(np.exp(log_p[keep]), (x | t << M.bit_length())[keep])
+    return emission, GuideTable(p[1:], np.arange(1, L)) if L > 1 else None
 
 
 # emissions per chunk of tail molecules (~66 each at M=300, L=40, so ~0.5 MB of
@@ -356,14 +351,13 @@ def transmit_counts(
     ones = np.flatnonzero(tx_bits)
     if params.M == 0 or not ones.size:
         return counts[:S]
-    emission = _emission_table(params.D, params.r, params.r0, params.ts, L, params.M)
+    emission, lags = _transport_tables(params.D, params.r, params.r0, params.ts, L, params.M)
     fixup = np.random.PCG64(rng.bit_generator.random_raw()).random_raw
     cells = rng.bit_generator.random_raw((ones.size + 3) // 4).view(np.uint16)
     drawn = emission.sample(cells[: ones.size], fixup)
     shift = params.M.bit_length()
     if include_own_slot:
         counts[ones] += drawn & (1 << shift) - 1
-    lags = _transport_split(params.D, params.r, params.r0, params.ts, L)[2]
     if lags is None:
         return counts[:S]
     tail = drawn >> shift

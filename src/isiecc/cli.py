@@ -20,6 +20,7 @@ write a CSV plus a manifest:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bits import bits_to_str, parse_bits
@@ -43,6 +44,8 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected lo:hi:step, got {text!r}") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise argparse.ArgumentTypeError(f"sweep bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("need step > 0 and hi >= lo")
     values = []

@@ -46,13 +46,13 @@ class CodeSpec:
     min_distance: int = 3
 
     @classmethod
-    def for_params(cls, k: int, m: int, *, max_k: int = MAX_K, max_m: int = MAX_M) -> "CodeSpec":
+    def for_params(cls, k: int, m: int) -> "CodeSpec":
         if not (isinstance(k, int) and isinstance(m, int)):
             raise ValueError("k and m must be integers")
-        if not (1 <= k <= max_k):
-            raise ValueError(f"k must be in [1, {max_k}], got {k}")
-        if not (k < m <= max_m):
-            raise ValueError(f"m must satisfy k < m <= {max_m}, got m={m} for k={k}")
+        if not (1 <= k <= MAX_K):
+            raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+        if not (k < m <= MAX_M):
+            raise ValueError(f"m must satisfy k < m <= {MAX_M}, got m={m} for k={k}")
         return cls(k=k, m=m, max_parity_weight=parity_weight_cap(k, m), n=k + m + 1, size=1 << k)
 
     @property

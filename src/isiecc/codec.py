@@ -30,27 +30,13 @@ def swap_pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((math.ceil(k / 2) + t, k + t) for t in range(1, last + 1, 2))
 
 
-@dataclass(frozen=True)
-class SwapSchedule:
-    """The fixed transmit-side position swaps for one code."""
-
-    pairs: tuple[tuple[int, int], ...]
-    n: int
-
-    @classmethod
-    def for_spec(cls, spec: CodeSpec) -> "SwapSchedule":
-        pairs = swap_pairs(spec.k)
-        flat = [i for pair in pairs for i in pair]
-        if len(set(flat)) != len(flat) or any(not (1 <= i <= spec.n) for i in flat):
-            raise ValueError(f"swap schedule invalid for k={spec.k}, n={spec.n}")
-        return cls(pairs=pairs, n=spec.n)
-
-    def permutation(self) -> np.ndarray:
-        """0-based position permutation; an involution, so it is its own inverse."""
-        perm = np.arange(self.n)
-        for a, b in self.pairs:
-            perm[[a - 1, b - 1]] = perm[[b - 1, a - 1]]
-        return perm
+def swap_permutation(spec: CodeSpec) -> np.ndarray:
+    """0-based position permutation of the transmit swaps for one code; an
+    involution, so it is its own inverse."""
+    perm = np.arange(spec.n)
+    for a, b in swap_pairs(spec.k):
+        perm[[a - 1, b - 1]] = perm[[b - 1, a - 1]]
+    return perm
 
 
 def post_encode(word, spec: CodeSpec) -> np.ndarray:
@@ -58,7 +44,7 @@ def post_encode(word, spec: CodeSpec) -> np.ndarray:
     c = as_bits(word)
     if c.size != spec.n:
         raise ValueError(f"expected a word of length {spec.n}, got {c.size}")
-    return c[SwapSchedule.for_spec(spec).permutation()]
+    return c[swap_permutation(spec)]
 
 
 def pre_decode(word, spec: CodeSpec) -> np.ndarray:
@@ -118,8 +104,7 @@ class BatchCodec:
         spec = codebook.spec
         self.spec = spec
         self.post_encoding = post_encoding
-        perm = SwapSchedule.for_spec(spec).permutation()
-        self._perm = perm if post_encoding else np.arange(spec.n)
+        self._perm = swap_permutation(spec) if post_encoding else np.arange(spec.n)
         self._table = codebook.codewords[:, self._perm]
 
     @property

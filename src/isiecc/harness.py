@@ -1,10 +1,11 @@
 """Experiment drivers reproducing the expected-ISI and BER comparisons.
 
-Two baselines are built in: uncoded transmission and the rate-1/3 repetition
-code with majority decoding (the distance-3 single error corrector of length
-3).  Other published comparison codes live in external references and are
-intentionally not reimplemented here.  Every code, baseline or proposed, is a
-StreamCoder, so the experiments never ask which one they hold.
+Two baselines are built in, both repetition codes with majority decoding:
+uncoded transmission (one slot per bit) and the rate-1/3 repetition code (the
+distance-3 single error corrector of length 3).  Other published comparison
+codes live in external references and are intentionally not reimplemented
+here.  Every code, baseline or proposed, is a StreamCoder, so the
+experiments never ask which one they hold.
 
 Every run is reproducible: trials are partitioned into fixed-size blocks,
 each block draws its messages and channel randomness from a generator seeded
@@ -57,34 +58,24 @@ class StreamCoder:
         return self.encode(message_matrix(self.message_len))
 
 
-class UncodedStream(StreamCoder):
-    """Pass-through coder: one slot per message bit."""
+class RepetitionStream(StreamCoder):
+    """Repetition coder over one message bit per word: the bit is sent
+    block_len times and decoded by a majority of the block's slots, so
+    block_len 1 is uncoded transmission."""
 
-    label = "uncoded"
     message_len = 1
-    block_len = 1
+
+    def __init__(self, label: str, block_len: int):
+        self.label = label
+        self.block_len = block_len
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
-        return msgs
+        return np.repeat(msgs, self.block_len, axis=-1)
 
     def decode(self, words: np.ndarray) -> np.ndarray:
-        return words
-
-
-class Repetition3Stream(StreamCoder):
-    """Rate-1/3 repetition coder over one message bit per word: every bit is
-    sent three times and decoded by majority vote per triple."""
-
-    label = "rep3"
-    message_len = 1
-    block_len = 3
-
-    def encode(self, msgs: np.ndarray) -> np.ndarray:
-        return np.repeat(msgs, 3, axis=-1)
-
-    def decode(self, words: np.ndarray) -> np.ndarray:
-        """Majority vote per triple; a flat input's length must be a multiple of 3."""
-        return (words.reshape(-1, 3).sum(axis=1, keepdims=True) >= 2).astype(np.uint8)
+        """Majority per block; a flat input's length must be a multiple of block_len."""
+        n = self.block_len
+        return (words.reshape(-1, n).sum(axis=1, keepdims=True) > n // 2).astype(np.uint8)
 
 
 class CkmStreamCode(StreamCoder, BatchCodec):
@@ -98,10 +89,9 @@ class CkmStreamCode(StreamCoder, BatchCodec):
 
 def make_coder(label: str, post_encoding: bool = True) -> StreamCoder:
     """Build a coder from its CLI label: ckm:K,M, uncoded, or rep3."""
-    if label == "uncoded":
-        return UncodedStream()
-    if label == "rep3":
-        return Repetition3Stream()
+    repeats = {"uncoded": 1, "rep3": 3}.get(label)
+    if repeats:
+        return RepetitionStream(label, repeats)
     if label.startswith("ckm:"):
         try:
             k, m = (int(part) for part in label[4:].split(","))

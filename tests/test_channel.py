@@ -16,6 +16,7 @@ from isiecc import (
     hitting_prob,
     isi_of_sequence,
     load_channel_config,
+    make_coder,
     simulate_stream,
     slot_probs,
     stream_average_isi,
@@ -24,8 +25,7 @@ from isiecc import (
 )
 from isiecc import channel
 from isiecc.channel import TRANSPORT_CHUNK, GuideTable, transmit_counts
-from isiecc.codec import swap_pairs
-from isiecc.harness import UncodedStream
+from isiecc.codec import swap_pairs, swap_permutation
 
 # F(0.3 s) for D=79.4, r=5, r0=10, fixed ahead of time with an independent
 # series/continued-fraction erfc evaluation
@@ -215,10 +215,8 @@ class TestSwapGain:
 class TestNetIsiGainFullSchedule:
     @pytest.mark.parametrize("k,m", [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 23), (7, 27)])
     def test_swapped_code_never_worse_at_affected_positions(self, k, m, profile_03):
-        from isiecc.codec import SwapSchedule
-
         book = build_codebook(k, m)
-        perm = SwapSchedule.for_spec(book.spec).permutation()
+        perm = swap_permutation(book.spec)
         swapped = book.codewords[:, perm]
         affected = sorted({i + 1 for pair in swap_pairs(k) for i in pair})
         before = math.fsum(expected_isi(book.codewords, i, profile_03) for i in affected)
@@ -247,7 +245,7 @@ class TestTransport:
     def test_no_molecules_means_silent_channel(self, params_03):
         frame = simulate_stream(
             np.ones((50, 1), dtype=np.uint8),
-            UncodedStream(),
+            make_coder("uncoded"),
             params_03.with_molecules(0),
             rng_seed=5,
             threshold=1.0,
@@ -258,7 +256,7 @@ class TestTransport:
     def test_all_zero_stream_detects_zero(self, params_03):
         frame = simulate_stream(
             np.zeros((100, 1), dtype=np.uint8),
-            UncodedStream(),
+            make_coder("uncoded"),
             params_03,
             rng_seed=5,
             threshold=0.5,
@@ -302,20 +300,20 @@ class TestTransport:
 
     def test_stream_deterministic_for_seed(self, params_03):
         msgs = np.random.default_rng(0).integers(0, 2, size=(300, 1), dtype=np.uint8)
-        a = simulate_stream(msgs, UncodedStream(), params_03, rng_seed=[1, 2])
-        b = simulate_stream(msgs, UncodedStream(), params_03, rng_seed=[1, 2])
+        a = simulate_stream(msgs, make_coder("uncoded"), params_03, rng_seed=[1, 2])
+        b = simulate_stream(msgs, make_coder("uncoded"), params_03, rng_seed=[1, 2])
         assert (a.counts == b.counts).all()
 
     def test_noise_is_added_per_slot(self, params_03):
         params = params_03.with_molecules(0).with_noise(9.0)
         frame = simulate_stream(
-            np.zeros((2000, 1), dtype=np.uint8), UncodedStream(), params, rng_seed=3
+            np.zeros((2000, 1), dtype=np.uint8), make_coder("uncoded"), params, rng_seed=3
         )
         assert frame.counts.std() == pytest.approx(3.0, rel=0.1)
 
     def test_empty_message_list_rejected(self, params_03):
         with pytest.raises(ValueError):
-            simulate_stream(np.zeros((0, 1), dtype=np.uint8), UncodedStream(), params_03, 1)
+            simulate_stream(np.zeros((0, 1), dtype=np.uint8), make_coder("uncoded"), params_03, 1)
 
     def test_stream_slot_count_moments(self, params_03):
         # an uncoded i.i.d. stream with P(1) = 1/2: each slot sums one term
@@ -469,8 +467,9 @@ class TestLagTable:
 
     def test_single_slot_memory_has_no_tail(self, params_03):
         p = replace(params_03, L=1)
-        p1, q_tail, table = channel._transport_split(p.D, p.r, p.r0, p.ts, p.L)
-        assert (p1, q_tail, table) == (slot_probs(p).p[0], 0.0, None)
+        emission, lags = channel._transport_tables(p.D, p.r, p.r0, p.ts, p.L, p.M)
+        assert lags is None
+        assert (emission.values >> p.M.bit_length() == 0).all()
 
     @pytest.mark.parametrize("tail", ["L=40", "rare"])
     def test_straddled_cells_resolve_at_each_boundary(self, params_03, tail):
@@ -548,7 +547,8 @@ def binomial_pmf(k, n: int, prob: float) -> np.ndarray:
 
 
 def emission_table(params):
-    return channel._emission_table(params.D, params.r, params.r0, params.ts, params.L, params.M)
+    p = params
+    return channel._transport_tables(p.D, p.r, p.r0, p.ts, p.L, p.M)[0]
 
 
 def implied_emission_law(params):
@@ -633,7 +633,7 @@ class TestCalibration:
         # pilot nearly perfectly
         rng = np.random.default_rng(123)
         bits = rng.integers(0, 2, size=(30_000, 1), dtype=np.uint8)
-        frame = simulate_stream(bits, UncodedStream(), params, rng_seed=9, threshold=theta)
+        frame = simulate_stream(bits, make_coder("uncoded"), params, rng_seed=9, threshold=theta)
         assert (frame.decisions != bits.ravel()).mean() < 1e-3
 
     def test_zero_signal_rejected(self, params_03):
@@ -660,6 +660,12 @@ class TestDetect:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             detect([1.0], -0.5)
+
+
+CONFIG_TEXT = (
+    "D_um2_per_s = 79.4\nr_um = 5\nr0_um = 10\nts_s = 0.3\n"
+    "L = 40\nM = 250\nsigma_n2 = 0\nseed = 33\n"
+)
 
 
 class TestChannelConfig:
@@ -704,6 +710,39 @@ class TestChannelConfig:
             replace(params_03, **{field: value})
         whole = replace(params_03, **{field: float(int(value))})
         assert whole == params_03 and type(getattr(whole, field)) is int
+
+    @pytest.mark.parametrize("field", ["D", "r", "r0", "ts", "sigma_n2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, params_03, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            replace(params_03, **{field: value})
+
+    def test_non_finite_noise_rejected_by_with_noise(self, params_03):
+        with pytest.raises(ValueError, match="sigma_n2 must be finite"):
+            params_03.with_noise(math.nan)
+
+    @pytest.mark.parametrize("key,text,L,M", [("M", "3e2", 40, 300), ("L", "40.0", 40, 250)])
+    def test_whole_number_spellings_load(self, tmp_path, key, text, L, M):
+        cfg = tmp_path / "chan.cfg"
+        cfg.write_text(CONFIG_TEXT.replace(f"{key} = ", f"{key} = {text} #", 1))
+        params, _ = load_channel_config(cfg)
+        assert (params.L, params.M) == (L, M)
+        assert type(params.L) is int and type(params.M) is int
+
+    def test_fractional_config_count_rejected(self, tmp_path):
+        cfg = tmp_path / "chan.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("M = 250", "M = 300.5"))
+        whole = "molecules per 1-bit must be a whole number, got 300.5"
+        with pytest.raises(ValueError, match=whole):
+            load_channel_config(cfg)
+
+    @pytest.mark.parametrize("key", ["M", "seed"])
+    def test_unparsable_value_names_file_and_key(self, tmp_path, key):
+        cfg = tmp_path / "chan.cfg"
+        cfg.write_text(CONFIG_TEXT.replace(f"\n{key} = ", f"\n{key} = abc #"))
+        with pytest.raises(ValueError) as err:
+            load_channel_config(cfg)
+        assert str(err.value) == f"{cfg}: {key} must be a number, got 'abc'"
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):

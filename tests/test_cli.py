@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from isiecc.cli import _parse_sweep, main
@@ -64,6 +66,19 @@ class TestSweepParsing:
         with pytest.raises(Exception):
             _parse_sweep("100:50:10")
 
+    @pytest.mark.parametrize("text", ["0:inf:1", "-inf:0:1", "0:10:inf", "nan:10:1", "0:nan:1"])
+    def test_non_finite_sweep_exits_2(self, tmp_path, capsys, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="must be finite"):
+            _parse_sweep(text)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ber.csv"
+        argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [f"--sweep={text}"])  # "=" keeps a leading "-" a value
+        assert exit_info.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperimentCommands:
     def test_ber_m_end_to_end(self, tmp_path, capsys):
@@ -86,6 +101,15 @@ class TestExperimentCommands:
         assert len(lines) == 3
         assert lines[1].startswith("uncoded,na,0.3,40,200,0,1000,")
         assert (tmp_path / "ber.manifest.txt").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_config_exits_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, sigma_n2=value)
+        out = tmp_path / "ber.csv"
+        argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--out", str(out)]
+        assert main(argv + ["--sweep", "300:300:1", "--trials", "1000"]) == 2
+        assert f"sigma_n2 must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fractional_molecule_sweep_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -11,7 +11,6 @@ from conftest import brute_decode, brute_encode, enumerate_weight_class
 from isiecc import (
     BatchCodec,
     CodeSpec,
-    SwapSchedule,
     build_codebook,
     decode,
     encode,
@@ -22,7 +21,7 @@ from isiecc import (
 )
 from isiecc.bits import bits_to_str, parse_bits
 from isiecc.codebook import MAX_K, MAX_M, rank_stack, unrank_stack
-from isiecc.codec import swap_pairs
+from isiecc.codec import swap_pairs, swap_permutation
 
 ROUNDTRIP_SPECS = [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 23), (7, 27)]
 
@@ -49,11 +48,15 @@ class TestSwapSchedule:
         assert len(set(flat)) == len(flat)
         n = 2 * k + 2  # shortest codeword for this k
         assert all(1 <= i <= n for i in flat)
+        # the permutation is an involution that moves exactly these positions
+        perm = swap_permutation(CodeSpec.for_params(k, k + 1))
+        assert (perm[perm] == np.arange(n)).all()
+        assert (np.flatnonzero(perm != np.arange(n)) + 1).tolist() == sorted(flat)
 
     def test_schedule_for_spec(self):
-        sched = SwapSchedule.for_spec(CodeSpec.for_params(4, 5))
-        assert sched.pairs == ((3, 5),)
-        perm = sched.permutation()
+        spec = CodeSpec.for_params(4, 5)
+        assert swap_pairs(spec.k) == ((3, 5),)
+        perm = swap_permutation(spec)
         assert (perm[perm] == np.arange(10)).all()
 
 

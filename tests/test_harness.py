@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 
@@ -18,14 +19,13 @@ from isiecc import channel, harness
 from isiecc.bits import bits_to_str, parse_bits
 from isiecc.harness import (
     CkmStreamCode,
-    Repetition3Stream,
     ber_point,
     manifest_text,
     report_csv_text,
 )
 
 
-REP3 = Repetition3Stream()
+REP3 = make_coder("rep3")
 
 
 class TestRepetition3:
@@ -49,11 +49,25 @@ class TestRepetition3:
             REP3.decode(parse_bits("1101"))
 
     def test_stream_coder_matches_functions(self):
-        coder = Repetition3Stream()
+        coder = make_coder("rep3")
         msgs = np.array([[0], [1], [1]], dtype=np.uint8)
         words = coder.encode(msgs)
         assert bits_to_str(words.ravel()) == "000111111"
         assert (coder.decode(words) == msgs).all()
+
+    @pytest.mark.parametrize("label", ["uncoded", "rep3"])
+    def test_every_received_word_decodes_by_majority(self, label):
+        coder = make_coder(label)
+        n = coder.block_len
+        msgs = np.array([[0], [1]], dtype=np.uint8)
+        assert (coder.encode(msgs) == np.repeat(msgs, n, axis=1)).all()
+        words = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
+        decoded = coder.decode(words)
+        assert decoded.dtype == np.uint8 and decoded.shape == (2**n, 1)
+        # a word decodes to the bit that fills more than half of its slots
+        assert (decoded[:, 0] == (2 * words.sum(axis=1) > n)).all()
+        if label == "uncoded":
+            assert (decoded == words).all()  # an exact pass-through
 
 
 class TestCoders:
@@ -244,19 +258,16 @@ class TestBerExperiments:
         assert (errors, bits, theta) == (replay_errors, replay_bits, replay_theta)
 
     def test_sweeps_build_each_table_once(self, params_03):
-        # the lag law depends on neither M nor sigma_n2 and the emission law
-        # not on sigma_n2, so over 3 pilots and every block of 3 codes a
-        # 3-point ber-m sweep builds 1 lag table and 3 emission tables, and a
-        # 3-point ber-noise sweep 1 of each
-        for kind, sweep, emission_tables in (
+        # the transport tables do not depend on sigma_n2, so over 3 pilots
+        # and every block of 3 codes a 3-point ber-m sweep builds 3 table
+        # pairs and a 3-point ber-noise sweep 1
+        for kind, sweep, table_pairs in (
             ("ber-m", (150.0, 200.0, 250.0), 3),
             ("ber-noise", (0.0, 30.0, 60.0), 1),
         ):
-            channel._transport_split.cache_clear()
-            channel._emission_table.cache_clear()
+            channel._transport_tables.cache_clear()
             run_ber_experiment(small_config(params_03, sweep=sweep, trials=500), kind)
-            assert channel._transport_split.cache_info().misses == 1, kind
-            assert channel._emission_table.cache_info().misses == emission_tables, kind
+            assert channel._transport_tables.cache_info().misses == table_pairs, kind
 
     def test_empty_sweep_rejected(self, params_03):
         config = small_config(params_03, sweep=())
