@@ -7,7 +7,6 @@ from .bits import bits_to_str, parse_bits
 from .codebook import (
     Codebook,
     CodeSpec,
-    RateDesign,
     build_codebook,
     density_profile,
     design_for_rate,
@@ -29,8 +28,6 @@ from .codec import (
 )
 from .channel import (
     ChannelParams,
-    ReceivedFrame,
-    SlotProfile,
     calibrate_threshold,
     codeword_isi_bound,
     detect,

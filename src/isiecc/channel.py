@@ -127,28 +127,15 @@ def hitting_prob(t: float, params: ChannelParams) -> float:
     )
 
 
-@dataclass(frozen=True)
-class SlotProfile:
-    """Per-slot absorption probabilities p_1 .. p_L."""
-
-    p: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.p)
-
-
-def slot_probs(params: ChannelParams) -> SlotProfile:
-    """p_i = F(i ts) - F((i-1) ts); partial sums telescope to F(L ts)."""
+def slot_probs(params: ChannelParams) -> np.ndarray:
+    """Read-only p_1 .. p_L with p_i = F(i ts) - F((i-1) ts); partial sums
+    telescope to F(L ts)."""
     f = [hitting_prob(i * params.ts, params) for i in range(params.L + 1)]
     p = np.diff(np.asarray(f, dtype=np.float64))
     if not (p > 0).all():
         raise ValueError("slot probabilities must all be positive; check ts and L")
     p.setflags(write=False)
-    return SlotProfile(p=p)
-
-
-def _probs(profile) -> np.ndarray:
-    return np.asarray(getattr(profile, "p", profile), dtype=np.float64)
+    return p
 
 
 def _interference(history, p: np.ndarray) -> float:
@@ -165,7 +152,7 @@ def isi_of_sequence(word, i: int, profile) -> float:
     summed as c_l * p_{i-l+1} over l < i.  Per-position densities in place
     of bits give the expected interference."""
     c = np.asarray(word)
-    p = _probs(profile)
+    p = np.asarray(profile, dtype=np.float64)
     if not (1 <= i <= c.size):
         raise ValueError(f"position {i} outside 1..{c.size}")
     if c.size > p.size:
@@ -186,7 +173,7 @@ def streaming_expected_isi(densities, position: int, profile) -> float:
     into earlier codewords.  Exact for any bit correlations because the
     interference is linear in the transmitted bits."""
     dens = np.asarray(densities, dtype=np.float64)
-    p = _probs(profile)
+    p = np.asarray(profile, dtype=np.float64)
     n = dens.size
     if not (1 <= position <= n):
         raise ValueError(f"position {position} outside 1..{n}")
@@ -209,7 +196,7 @@ def codeword_isi_bound(codeword, profile, max_parity_weight: int, message_len: i
     run of max_parity_weight 1s immediately before the last position would
     cause, which is the worst arrangement a weight-capped parity allows.
     """
-    p = _probs(profile)
+    p = np.asarray(profile, dtype=np.float64)
     parity = np.array(codeword, dtype=np.float64)
     if parity.size > p.size:
         raise ValueError("codeword longer than the slot profile")
@@ -233,18 +220,9 @@ def swap_gain(book: Codebook, profile, t: int) -> float:
     valid_t = tuple(a - math.ceil(k / 2) for a, _ in swap_pairs(k))
     if t not in valid_t:
         raise ValueError(f"t must be one of {valid_t} for k={k}")
-    p = _probs(profile)
+    p = np.asarray(profile, dtype=np.float64)
     w = book.column_weights[k + t - 1]
     return -(2 ** (k - 1) - w) * float(p[k // 2 + 1])
-
-
-@dataclass(frozen=True)
-class ReceivedFrame:
-    """Per-slot observations for a simulated stream and, when a threshold was
-    supplied, the per-slot bit decisions."""
-
-    counts: np.ndarray
-    decisions: np.ndarray | None
 
 
 class GuideTable:
@@ -297,7 +275,7 @@ def _transport_tables(D: float, r: float, r0: float, ts: float, L: int, M: int):
     L = 1.  Only outcomes above 2^-100 are enumerated, ~60 per molecule at
     L = 40, ts = 0.3 s: by Hoeffding's bound, a Bin(n, q) pmf above 2^-100 /
     P(x) lies within sqrt(n (101 ln 2 + ln P(x)) / 2) of n q."""
-    p = slot_probs(ChannelParams(D=D, r=r, r0=r0, ts=ts, L=L, M=M, sigma_n2=0.0)).p
+    p = slot_probs(ChannelParams(D=D, r=r, r0=r0, ts=ts, L=L, M=M, sigma_n2=0.0))
     p1, q = float(p[0]), float(p[1:].sum() / (1.0 - p[0]))
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(M + 1)])
     floor = -100 * math.log(2)
@@ -389,28 +367,24 @@ def _observe(tx_bits: np.ndarray, params: ChannelParams, rng: np.random.Generato
 
 
 def simulate_stream(
-    messages,
-    coder,
-    params: ChannelParams,
-    rng_seed,
-    threshold: float | None = None,
-) -> ReceivedFrame:
-    """Transmit a batch of messages as one contiguous slot stream.
+    messages, coder, params: ChannelParams, rng_seed, threshold: float
+) -> np.ndarray:
+    """Per-slot bit decisions for a batch of messages sent as one contiguous
+    slot stream.
 
     Words are encoded, concatenated (so each word suffers interference from
     its predecessors), and preceded by L silent warm-up slots that are
-    excluded from the returned frame.  Per-slot observations add Gaussian
-    noise of variance sigma_n2; identical seeds give identical frames.
+    excluded; `_observe` gives the slot observations, with Gaussian noise of
+    variance sigma_n2, and `detect` thresholds them.  Identical seeds give
+    identical decisions.
     """
     msgs = np.atleast_2d(np.asarray(messages, dtype=np.uint8))
     if msgs.size == 0:
         raise ValueError("need at least one message")
     if msgs.shape[1] != coder.message_len:
         raise ValueError(f"messages must have {coder.message_len} bits each")
-    rng = np.random.default_rng(rng_seed)
-    counts = _observe(coder.encode(msgs).reshape(-1), params, rng)
-    decisions = detect(counts, threshold) if threshold is not None else None
-    return ReceivedFrame(counts=counts, decisions=decisions)
+    counts = _observe(coder.encode(msgs).reshape(-1), params, np.random.default_rng(rng_seed))
+    return detect(counts, threshold)
 
 
 def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> float:
@@ -424,8 +398,7 @@ def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> f
     """
     if pilot_length < 10_000:
         raise ValueError("pilot must cover at least 10^4 slots")
-    profile = slot_probs(params)
-    peak = params.M * float(profile.p[0])
+    peak = params.M * float(slot_probs(params)[0])
     if peak <= 0:
         raise ValueError("cannot calibrate with M * p_1 = 0")
     rng = np.random.default_rng(rng_seed)

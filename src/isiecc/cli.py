@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .bits import bits_to_str, parse_bits
 from .channel import load_channel_config
@@ -133,7 +134,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -159,6 +160,9 @@ def _run(args) -> int:
                 export_codebook_csv(book, handle)
         return 0
 
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"cannot write {args.out}: no directory {out_dir}")
     if args.command == "isi":
         report = run_isi_experiment(_experiment_config(args))
     else:

@@ -247,16 +247,9 @@ def density_profile(codebook: Codebook) -> np.ndarray:
     return np.asarray(codebook.column_weights, dtype=np.float64) / codebook.spec.size
 
 
-@dataclass(frozen=True)
-class RateDesign:
-    """Feasible (k, m, weight cap) triples achieving an exact target rate."""
-
-    epsilon: Fraction
-    candidates: tuple[tuple[int, int, int], ...]
-
-
-def design_for_rate(epsilon, k_max: int) -> RateDesign:
-    """All k <= k_max for which a rate-epsilon code of length k/epsilon exists.
+def design_for_rate(epsilon, k_max: int) -> tuple[tuple[int, int, int], ...]:
+    """The (k, m, weight cap) triple of every k <= k_max for which a
+    rate-epsilon code of length k/epsilon exists.
 
     A candidate k must make k/epsilon an integer n, leave room for the parity
     section (cap + k + 1 < n), and satisfy the binomial sandwich that pins the
@@ -283,7 +276,7 @@ def design_for_rate(epsilon, k_max: int) -> RateDesign:
         if not (below < (1 << k) <= below + math.comb(m, tau)):
             continue
         found.append((k, m, tau))
-    return RateDesign(epsilon=eps, candidates=tuple(found))
+    return tuple(found)
 
 
 def export_codebook_csv(codebook: Codebook, out: TextIO) -> None:

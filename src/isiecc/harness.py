@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__ as _version
 from .channel import (
+    CONFIG_KEYS,
     ChannelParams,
     calibrate_threshold,
     expected_isi,
@@ -116,6 +117,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.codes:
             raise ValueError("select at least one code")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.workers < 1 or self.block_size < 1:
@@ -138,30 +141,18 @@ BER_RUN_KEYS = ("workers", "block_size", "pilot_slots")
 
 
 def _config_echo(config: ExperimentConfig, kind: str) -> dict:
-    ch = config.channel
-    echo = {
+    ber_run = BER_RUN_KEYS if kind != "isi" else ()
+    return {
         "experiment": kind,
         "codes": ",".join(config.codes),
-        "D_um2_per_s": ch.D,
-        "r_um": ch.r,
-        "r0_um": ch.r0,
-        "ts_s": ch.ts,
-        "L": ch.L,
-        "M": ch.M,
-        "sigma_n2": ch.sigma_n2,
+        **dict(zip(CONFIG_KEYS[:-1], astuple(config.channel))),
         "seed": config.seed,
         "trials": config.trials,
         "sweep": ",".join(_fmt(v) for v in config.sweep),
         "post_encoding": config.post_encoding,
-        "workers": config.workers,
-        "block_size": config.block_size,
-        "pilot_slots": config.pilot_slots,
+        **{key: getattr(config, key) for key in ber_run},
         "version": _version,
     }
-    if kind == "isi":
-        for key in BER_RUN_KEYS:
-            del echo[key]
-    return echo
 
 
 def _map(workers: int, fn, jobs) -> list:
@@ -247,9 +238,8 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
 def _ber_block(coder, params, theta, seed, point_idx, block_idx, nb):
     rng_msg = np.random.default_rng([seed, point_idx, 1, block_idx])
     msgs = rng_msg.integers(0, 2, size=(nb, coder.message_len), dtype=np.uint8)
-    frame = simulate_stream(msgs, coder, params, [seed, point_idx, 2, block_idx], threshold=theta)
-    words = frame.decisions.reshape(nb, coder.block_len)
-    decoded = coder.decode(words)
+    decisions = simulate_stream(msgs, coder, params, [seed, point_idx, 2, block_idx], theta)
+    decoded = coder.decode(decisions.reshape(nb, coder.block_len))
     return int((decoded != msgs).sum()), msgs.size
 
 

@@ -1,11 +1,12 @@
 import math
+import threading
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from isiecc import ChannelParams, CodeSpec, EncodedWord, slot_probs
+from isiecc import ChannelParams, CodeSpec, EncodedWord, harness, slot_probs
 from isiecc.codec import swap_pairs
 
 
@@ -82,7 +83,7 @@ def brute_decode(word, spec: CodeSpec) -> np.ndarray:
 def multinomial_counts(tx_bits, params, rng, include_own_slot=True) -> np.ndarray:
     """Reference transport: one numpy multinomial row of M trials over
     (p_1 .. p_L, never-absorbed) per transmitted 1, scattered lag by lag."""
-    p = slot_probs(params).p
+    p = slot_probs(params)
     L = params.L
     ones = np.flatnonzero(tx_bits)
     counts = np.zeros(tx_bits.size + L)
@@ -90,3 +91,16 @@ def multinomial_counts(tx_bits, params, rng, include_own_slot=True) -> np.ndarra
     for d in range(0 if include_own_slot else 1, L):
         counts[ones + d] += draws[:, d]
     return counts[: tx_bits.size]
+
+
+def count_pilots(monkeypatch) -> list:
+    """Record (thread, seed) of every pilot the harness calibrates."""
+    calls = []
+    original = harness.calibrate_threshold
+
+    def counted(params, pilot_length, rng_seed):
+        calls.append((threading.get_ident(), list(rng_seed)))
+        return original(params, pilot_length, rng_seed)
+
+    monkeypatch.setattr(harness, "calibrate_threshold", counted)
+    return calls

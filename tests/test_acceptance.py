@@ -144,7 +144,7 @@ def test_criterion_07_swap_gains_nonpositive_and_exact():
     for k, m in ((4, 5), (5, 6), (6, 7)):
         book = build_codebook(k, m)
         words = book.codewords
-        p = PROFILE.p
+        p = PROFILE
 
         def sum_isi(mat, i):
             return math.fsum(isi_brute(row, i, p) for row in mat)
@@ -180,7 +180,7 @@ def test_criterion_08_expected_isi_ordering():
 
 def test_criterion_09_rate_design():
     design = design_for_rate(Fraction(1, 5), 7)
-    cands = set(design.candidates)
+    cands = set(design)
     has_published = {(6, 23, 2), (7, 27, 2)} <= cands
 
     # oracle: direct re-derivation of the feasibility conditions per k
@@ -196,7 +196,7 @@ def test_criterion_09_rate_design():
         return None
 
     oracle = tuple(c for c in (feasible(k) for k in range(1, 8)) if c)
-    matches_oracle = design.candidates == oracle
+    matches_oracle = design == oracle
 
     book6 = build_codebook(6, 23)
     book7 = build_codebook(7, 27)
@@ -213,7 +213,7 @@ def test_criterion_09_rate_design():
     report(
         9,
         ok,
-        f"candidates={design.candidates} include published pair;"
+        f"candidates={design} include published pair;"
         f" stream-average ISI {avg7:.6f} < {avg6:.6f}; all 192 codewords within budget",
     )
 
@@ -274,7 +274,7 @@ def test_criterion_12_channel_sanity():
     grid = np.linspace(0.0, 300.0, 1000)
     vals = [hitting_prob(t, PARAMS) for t in grid]
     ok &= all(b >= a for a, b in zip(vals, vals[1:]))
-    total = math.fsum(PROFILE.p)
+    total = math.fsum(PROFILE)
     limit = hitting_prob(PARAMS.L * PARAMS.ts, PARAMS)
     ok &= abs(total - limit) <= 1e-12 * limit
 
@@ -284,7 +284,7 @@ def test_criterion_12_channel_sanity():
     tx[:: L + 1] = 1
     counts = transmit_counts(tx, PARAMS, np.random.default_rng(987654))
     mean = counts.reshape(trials, L + 1)[:, :L].mean(axis=0)
-    p = PROFILE.p
+    p = PROFILE
     se = np.sqrt(PARAMS.M * p * (1 - p) / trials)
     worst_z = float(np.max(np.abs(mean - PARAMS.M * p) / se))
     ok &= worst_z <= 3.0

@@ -24,7 +24,7 @@ from isiecc import (
     swap_gain,
 )
 from isiecc import channel
-from isiecc.channel import TRANSPORT_CHUNK, GuideTable, transmit_counts
+from isiecc.channel import TRANSPORT_CHUNK, GuideTable, _observe, transmit_counts
 from isiecc.codec import swap_pairs, swap_permutation
 
 # F(0.3 s) for D=79.4, r=5, r0=10, fixed ahead of time with an independent
@@ -90,20 +90,20 @@ class TestHittingProb:
 
 class TestSlotProbs:
     def test_first_slot_is_hitting_prob(self, params_03, profile_03):
-        assert profile_03.p[0] == pytest.approx(hitting_prob(0.3, params_03), abs=0)
+        assert profile_03[0] == pytest.approx(hitting_prob(0.3, params_03), abs=0)
 
     def test_telescoping_sum(self, params_03, profile_03):
-        total = math.fsum(profile_03.p)
+        total = math.fsum(profile_03)
         expected = hitting_prob(params_03.L * params_03.ts, params_03)
         assert abs(total - expected) <= 1e-12 * expected
 
     def test_all_positive_and_length(self, params_03, profile_03):
         assert len(profile_03) == params_03.L
-        assert (profile_03.p > 0).all()
+        assert (profile_03 > 0).all()
 
     def test_second_slot_value(self, params_03, profile_03):
         expected = hitting_prob(0.6, params_03) - hitting_prob(0.3, params_03)
-        assert profile_03.p[1] == pytest.approx(expected, abs=0)
+        assert profile_03[1] == pytest.approx(expected, abs=0)
 
 
 class TestIsiOfSequence:
@@ -112,11 +112,11 @@ class TestIsiOfSequence:
 
     def test_single_term(self, profile_03):
         assert isi_of_sequence([1, 0], 2, profile_03) == pytest.approx(
-            profile_03.p[1], abs=0
+            profile_03[1], abs=0
         )
 
     def test_two_terms(self, profile_03):
-        expected = profile_03.p[2] + profile_03.p[1]
+        expected = profile_03[2] + profile_03[1]
         assert isi_of_sequence([1, 1, 0], 3, profile_03) == pytest.approx(expected, abs=1e-15)
 
     def test_matches_brute_oracle(self, profile_03):
@@ -125,7 +125,7 @@ class TestIsiOfSequence:
             word = rng.integers(0, 2, size=12)
             i = int(rng.integers(1, 13))
             assert isi_of_sequence(word, i, profile_03) == pytest.approx(
-                isi_brute(word, i, profile_03.p), abs=1e-14
+                isi_brute(word, i, profile_03), abs=1e-14
             )
 
     def test_position_out_of_range(self, profile_03):
@@ -146,7 +146,7 @@ class TestExpectedIsi:
     def test_codebook_last_position_matches_brute_mean(self, profile_03):
         book = build_codebook(3, 4)
         brute = math.fsum(
-            isi_brute(row, 8, profile_03.p) for row in book.codewords
+            isi_brute(row, 8, profile_03) for row in book.codewords
         ) / book.spec.size
         assert expected_isi(book, 8, profile_03) == pytest.approx(brute, abs=1e-14)
 
@@ -157,7 +157,7 @@ class TestStreamingIsi:
         # unroll 30 periods and evaluate the middle word directly
         unrolled = np.tile(dens, 30)
         pos = 3 * 25 + 2  # position 2 of word 25, 1-based
-        p = profile_03.p
+        p = profile_03
         direct = math.fsum(
             unrolled[pos - 1 - g] * p[g] for g in range(1, len(p))
         )
@@ -165,7 +165,7 @@ class TestStreamingIsi:
 
     def test_uniform_density_closed_form(self, profile_03):
         val = streaming_expected_isi(np.full(3, 0.5), 3, profile_03)
-        assert val == pytest.approx(0.5 * profile_03.p[1:].sum(), abs=1e-14)
+        assert val == pytest.approx(0.5 * profile_03[1:].sum(), abs=1e-14)
 
     def test_stream_average_is_density_scaled_tail_mass(self, profile_03):
         book = build_codebook(4, 5)
@@ -188,7 +188,7 @@ class TestSwapGain:
     def test_gain_nonpositive_and_matches_brute_force(self, k, m, profile_03):
         book = build_codebook(k, m)
         words = book.codewords
-        p = profile_03.p
+        p = profile_03
 
         def sum_isi(mat, i):
             return math.fsum(isi_brute(row, i, p) for row in mat)
@@ -243,25 +243,22 @@ class TestExpectedIsiMatchesMonteCarlo:
 
 class TestTransport:
     def test_no_molecules_means_silent_channel(self, params_03):
-        frame = simulate_stream(
-            np.ones((50, 1), dtype=np.uint8),
-            make_coder("uncoded"),
-            params_03.with_molecules(0),
-            rng_seed=5,
-            threshold=1.0,
-        )
-        assert (frame.counts == 0).all()
-        assert (frame.decisions == 0).all()
+        bits = np.ones((50, 1), dtype=np.uint8)
+        silent = params_03.with_molecules(0)
+        decisions = simulate_stream(bits, make_coder("uncoded"), silent, rng_seed=5, threshold=1.0)
+        counts = _observe(bits.ravel(), silent, np.random.default_rng(5))
+        assert (counts == 0).all()
+        assert (decisions == 0).all()
 
     def test_all_zero_stream_detects_zero(self, params_03):
-        frame = simulate_stream(
+        decisions = simulate_stream(
             np.zeros((100, 1), dtype=np.uint8),
             make_coder("uncoded"),
             params_03,
             rng_seed=5,
             threshold=0.5,
         )
-        assert (frame.decisions == 0).all()
+        assert (decisions == 0).all()
 
     def test_single_release_slot_means(self, params_03):
         # isolated releases, L+1 slots apart so windows cannot overlap
@@ -273,7 +270,7 @@ class TestTransport:
         counts = transmit_counts(tx, params_03, rng)
         windows = counts.reshape(trials, L + 1)[:, :L]
         mean = windows.mean(axis=0)
-        p = slot_probs(params_03).p
+        p = slot_probs(params_03)
         M = params_03.M
         se = np.sqrt(M * p * (1 - p) / trials)
         assert (np.abs(mean - M * p) <= 4 * se).all()
@@ -300,20 +297,20 @@ class TestTransport:
 
     def test_stream_deterministic_for_seed(self, params_03):
         msgs = np.random.default_rng(0).integers(0, 2, size=(300, 1), dtype=np.uint8)
-        a = simulate_stream(msgs, make_coder("uncoded"), params_03, rng_seed=[1, 2])
-        b = simulate_stream(msgs, make_coder("uncoded"), params_03, rng_seed=[1, 2])
-        assert (a.counts == b.counts).all()
+        a = _observe(msgs.ravel(), params_03, np.random.default_rng([1, 2]))
+        b = _observe(msgs.ravel(), params_03, np.random.default_rng([1, 2]))
+        assert (a == b).all()
 
     def test_noise_is_added_per_slot(self, params_03):
         params = params_03.with_molecules(0).with_noise(9.0)
-        frame = simulate_stream(
-            np.zeros((2000, 1), dtype=np.uint8), make_coder("uncoded"), params, rng_seed=3
-        )
-        assert frame.counts.std() == pytest.approx(3.0, rel=0.1)
+        counts = _observe(np.zeros(2000, dtype=np.uint8), params, np.random.default_rng(3))
+        assert counts.std() == pytest.approx(3.0, rel=0.1)
 
     def test_empty_message_list_rejected(self, params_03):
         with pytest.raises(ValueError):
-            simulate_stream(np.zeros((0, 1), dtype=np.uint8), make_coder("uncoded"), params_03, 1)
+            simulate_stream(
+                np.zeros((0, 1), dtype=np.uint8), make_coder("uncoded"), params_03, 1, 1.0
+            )
 
     def test_stream_slot_count_moments(self, params_03):
         # an uncoded i.i.d. stream with P(1) = 1/2: each slot sums one term
@@ -321,7 +318,7 @@ class TestTransport:
         # rho M sum p_d and its variance sums rho (M p_d (1 - p_d) + M^2 p_d^2)
         # - rho^2 M^2 p_d^2 exactly.  Batch means over 100 blocks of 4,000
         # slots, much longer than L, give the standard errors; 5 SE each.
-        rho, M, L, p = 0.5, params_03.M, params_03.L, slot_probs(params_03).p
+        rho, M, L, p = 0.5, params_03.M, params_03.L, slot_probs(params_03)
         blocks, size = 100, 4_000
         rng = np.random.default_rng(31)
         tx = rng.integers(0, 2, size=L + blocks * size, dtype=np.uint8)
@@ -419,7 +416,7 @@ class TestTransportLaw:
     @SAMPLERS
     def test_joint_law_chi_square(self, sampler):
         M, L = LAW_PARAMS.M, LAW_PARAMS.L
-        p = slot_probs(LAW_PARAMS).p
+        p = slot_probs(LAW_PARAMS)
         x = isolated_windows(sampler, LAW_PARAMS, LAW_TRIALS, seed=2024)
         assert x.sum(axis=1).max() <= M  # no emission loses or gains molecules
         digits = (M + 1) ** np.arange(L)
@@ -442,7 +439,7 @@ class TestTransportLaw:
         # means and variances, the sample's own for adjacent-lag covariances
         trials = 50_000
         M = params_03.M
-        p = slot_probs(params_03).p
+        p = slot_probs(params_03)
         x = isolated_windows(sampler, params_03, trials, seed=77).astype(np.float64)
         var = M * p * (1 - p)
         fourth = var * (1 + 3 * (M - 2) * p * (1 - p))  # binomial 4th central moment
@@ -457,7 +454,7 @@ class TestTransportLaw:
 class TestLagTable:
     @pytest.mark.parametrize("L", [2, 40, 100, 200])
     def test_implied_probabilities(self, params_03, L):
-        tail = slot_probs(replace(params_03, L=L)).p[1:]
+        tail = slot_probs(replace(params_03, L=L))[1:]
         table = lag_table(tail)
         assert table.guide.shape == (1 << 16,)
         assert table.guide.dtype == (np.int8 if L - 1 <= 127 else np.int16)
@@ -473,7 +470,7 @@ class TestLagTable:
 
     @pytest.mark.parametrize("tail", ["L=40", "rare"])
     def test_straddled_cells_resolve_at_each_boundary(self, params_03, tail):
-        tail = slot_probs(params_03).p[1:] if tail == "L=40" else RARE_TAIL
+        tail = slot_probs(params_03)[1:] if tail == "L=40" else RARE_TAIL
         table = lag_table(tail)
         bounds = lag_boundaries(tail)
         inner = [b for b in bounds if b % (1 << 48)]
@@ -511,7 +508,7 @@ class TestLagTable:
     def test_transport_runs_at_any_memory(self, params_03, L):
         params = replace(params_03, L=L)
         trials = 20_000
-        M, p = params.M, slot_probs(params).p
+        M, p = params.M, slot_probs(params)
         x = isolated_windows(transmit_counts, params, trials, seed=L)
         assert x.sum(axis=1).max() <= M
         se = np.sqrt(M * p * (1 - p) / trials)
@@ -564,7 +561,7 @@ def check_emission_law(params):
     """The table's implied law of (X_1, T) against the exact pmf, and T's
     marginal against Bin(M, P_tail), both to 1e-12; returns the table's
     outcome count."""
-    M, p = params.M, slot_probs(params).p
+    M, p = params.M, slot_probs(params)
     x, t, implied = implied_emission_law(params)
     exact = exact_pmf(x, t, M, p)
     assert np.abs(implied - exact).max() <= 1e-12
@@ -599,7 +596,7 @@ class TestEmissionTable:
         assert large <= 1.25 * (2000 / 300) * small
 
     def test_joint_draws_chi_square(self, params_03):
-        M, p = params_03.M, slot_probs(params_03).p
+        M, p = params_03.M, slot_probs(params_03)
         windows = np.concatenate(
             [isolated_windows(transmit_counts, params_03, PAIR_TRIALS // 4, seed) for seed in range(4)]
         )
@@ -627,14 +624,14 @@ class TestCalibration:
     def test_large_sampling_time_separates_classes(self):
         params = ChannelParams(D=79.4, r=5.0, r0=10.0, ts=3.0, L=40, M=300, sigma_n2=0.0)
         theta = calibrate_threshold(params, 20_000, rng_seed=7)
-        peak = params.M * slot_probs(params).p[0]
+        peak = params.M * slot_probs(params)[0]
         assert 0.0 < theta < peak
         # with negligible interference the chosen threshold separates a fresh
         # pilot nearly perfectly
         rng = np.random.default_rng(123)
         bits = rng.integers(0, 2, size=(30_000, 1), dtype=np.uint8)
-        frame = simulate_stream(bits, make_coder("uncoded"), params, rng_seed=9, threshold=theta)
-        assert (frame.decisions != bits.ravel()).mean() < 1e-3
+        decisions = simulate_stream(bits, make_coder("uncoded"), params, 9, threshold=theta)
+        assert (decisions != bits.ravel()).mean() < 1e-3
 
     def test_zero_signal_rejected(self, params_03):
         with pytest.raises(ValueError):
@@ -654,7 +651,7 @@ class TestDetect:
 
     def test_calibrated_gap_case(self, params_03, profile_03):
         theta = calibrate_threshold(params_03, 50_000, rng_seed=4)
-        peak = params_03.M * profile_03.p[0]
+        peak = params_03.M * profile_03[0]
         assert detect([peak + 5 * 10, 0.1 * peak], theta).tolist() == [1, 0]
 
     def test_negative_threshold_rejected(self):

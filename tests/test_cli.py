@@ -1,8 +1,13 @@
 import argparse
+import shlex
+from pathlib import Path
 
 import pytest
 
-from isiecc.cli import _parse_sweep, main
+from conftest import count_pilots
+from isiecc.cli import _parse_sweep, build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, **overrides):
@@ -53,6 +58,12 @@ class TestCodecCommands:
     def test_bad_bits_exit_code(self, capsys):
         assert main(["encode", "--k", "3", "--m", "4", "--msg", "21"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_export_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "book.csv"
+        assert main(["export-codebook", "--k", "3", "--m", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
 
 
 class TestSweepParsing:
@@ -174,3 +185,90 @@ class TestExperimentCommands:
         )
         manifest = (tmp_path / "ber.manifest.txt").read_text()
         assert "seed = 77" in manifest
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nope.cfg"
+        argv = ["isi", "--config", str(cfg), "--code", "rep3", "--out", str(tmp_path / "i.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfg) in err
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "i.csv"
+        assert main(["isi", "--config", str(tmp_path), "--code", "rep3", "--out", str(out)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_output_into_missing_directory_fails_before_any_pilot(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        pilots = count_pilots(monkeypatch)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "nodir" / "ber.csv"
+        argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--out", str(out)]
+        assert main(argv + ["--sweep", "300:300:1", "--trials", "1000"]) == 2
+        assert str(out.parent) in capsys.readouterr().err
+        assert pilots == []
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, source):
+        cfg = write_config(tmp_path, seed=-5 if source == "config" else 33)
+        out = tmp_path / "ber.csv"
+        argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--out", str(out)]
+        argv += ["--sweep", "300:300:1", "--trials", "1000"]
+        seed = "-5"
+        if source == "flag":
+            seed = "-1"
+            argv += ["--seed", seed]
+        assert main(argv) == 2
+        assert f"seed must be non-negative, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, tail",
+        [
+            (
+                ["ber-m", "--code", "uncoded", "--sweep", "300:300:1", "--pilot-slots", "20000"],
+                ["workers", "block_size", "pilot_slots", "version", "threshold[uncoded]",
+                 "wall_clock_s", "pilots", "pilot_s"],
+            ),
+            (["isi", "--code", "rep3"], ["version", "wall_clock_s"]),
+        ],
+        ids=["ber-m", "isi"],
+    )
+    def test_manifest_key_order(self, tmp_path, argv, tail):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out), "--trials", "300"]) == 0
+        lines = (tmp_path / "run.manifest.txt").read_text().splitlines()
+        assert [line.split(" = ")[0] for line in lines] == [
+            "experiment", "codes", "D_um2_per_s", "r_um", "r0_um", "ts_s", "L", "M", "sigma_n2",
+            "seed", "trials", "sweep", "post_encoding", *tail,
+        ]
+
+
+def readme_commands() -> list[str]:
+    """The isi-ecc lines of README's "Command line" block, continuations joined."""
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("isi-ecc ")]
+
+
+class TestReadmeExamples:
+    def test_every_command_parses(self):
+        commands = readme_commands()
+        parser = build_parser()
+        seen = set()
+        for line in commands:
+            args = parser.parse_args(shlex.split(line.split("#", 1)[0])[1:])
+            seen.add(args.command)
+        # one example at least for every subcommand
+        assert seen == {"encode", "decode", "export-codebook", "isi", "ber-m", "ber-noise"}
+
+    def test_codec_examples_print_their_values(self, capsys):
+        examples = [line for line in readme_commands() if "# ->" in line]
+        assert len(examples) == 3
+        for line in examples:
+            command, _, result = line.partition("# ->")
+            assert main(shlex.split(command)[1:]) == 0
+            assert capsys.readouterr().out.strip() == result.split()[0], line

@@ -222,14 +222,14 @@ class TestDensityProfile:
 class TestRateDesign:
     def test_rate_one_fifth_contains_published_pair(self):
         design = design_for_rate(Fraction(1, 5), 7)
-        assert (6, 23, 2) in design.candidates
-        assert (7, 27, 2) in design.candidates
+        assert (6, 23, 2) in design
+        assert (7, 27, 2) in design
 
     def test_candidates_sorted_and_conditions_hold(self):
         design = design_for_rate(Fraction(1, 5), 7)
-        ks = [c[0] for c in design.candidates]
+        ks = [c[0] for c in design]
         assert ks == sorted(ks)
-        for k, m, cap in design.candidates:
+        for k, m, cap in design:
             n = 5 * k
             assert m == n - k - 1
             assert cap <= k and cap + k + 1 < n
@@ -254,20 +254,20 @@ class TestRateDesign:
             return (k, m, cap) if ok else None
 
         oracle = tuple(c for c in (feasible(k) for k in range(1, 8)) if c)
-        assert design_for_rate(Fraction(1, 5), 7).candidates == oracle
+        assert design_for_rate(Fraction(1, 5), 7) == oracle
 
     def test_rate_half_rejected(self):
         with pytest.raises(ValueError):
             design_for_rate(Fraction(1, 2), 7)
 
     def test_candidates_achieve_exact_rate(self):
-        for k, m, _ in design_for_rate(Fraction(1, 5), 7).candidates:
+        for k, m, _ in design_for_rate(Fraction(1, 5), 7):
             assert CodeSpec.for_params(k, m).rate == Fraction(1, 5)
 
     def test_infeasible_rate_gives_empty_list(self):
         # 19k/9 is integral only for multiples of 9, all beyond k_max here
         design = design_for_rate(Fraction(9, 19), 8)
-        assert design.candidates == ()
+        assert design == ()
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_adjacent_rate_monotone_below_half(self, k):

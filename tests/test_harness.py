@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import count_pilots
 from isiecc import (
     ExperimentConfig,
     expected_isi,
@@ -115,19 +116,6 @@ def small_config(params, **overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
-
-
-def count_pilots(monkeypatch) -> list:
-    """Record (thread, seed) of every pilot the harness calibrates."""
-    calls = []
-    original = harness.calibrate_threshold
-
-    def counted(params, pilot_length, rng_seed):
-        calls.append((threading.get_ident(), list(rng_seed)))
-        return original(params, pilot_length, rng_seed)
-
-    monkeypatch.setattr(harness, "calibrate_threshold", counted)
-    return calls
 
 
 class TestIsiExperiment:
