@@ -3,6 +3,8 @@ with an absorbing-receiver diffusion channel model and experiment harness."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .bits import bits_to_str, parse_bits
 from .codebook import (
     Codebook,
@@ -13,19 +15,9 @@ from .codebook import (
     export_codebook_csv,
     message_matrix,
     parity_weight_cap,
-    rank_in_weight_class,
-    unrank_in_weight_class,
     verify_min_distance,
-    weight_class_matrix,
 )
-from .codec import (
-    BatchCodec,
-    EncodedWord,
-    decode,
-    encode,
-    post_encode,
-    pre_decode,
-)
+from .codec import BatchCodec, decode, encode
 from .channel import (
     ChannelParams,
     calibrate_threshold,
@@ -33,7 +25,6 @@ from .channel import (
     detect,
     expected_isi,
     hitting_prob,
-    isi_of_sequence,
     load_channel_config,
     simulate_stream,
     slot_probs,
@@ -50,4 +41,9 @@ from .harness import (
     write_report,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported public names, without the submodules the imports also bind
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

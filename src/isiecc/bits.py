@@ -31,10 +31,3 @@ def as_bits(bits) -> np.ndarray:
         raise ValueError("bit sequence may contain only 0 and 1")
     return arr
 
-
-def decimal_value(bits) -> int:
-    """Decimal value of a bit sequence, leftmost bit most significant."""
-    v = 0
-    for b in np.asarray(bits):
-        v = (v << 1) | int(b)
-    return v

@@ -38,6 +38,10 @@ from .codec import swap_pairs
 
 CONFIG_KEYS = ("D_um2_per_s", "r_um", "r0_um", "ts_s", "L", "M", "sigma_n2", "seed")
 
+# Cap on molecules per 1-bit: a channel point's transport table build peaks at
+# ~6 KB per molecule (L = 40, ts = 0.3 s), so ~0.6 GB at the cap.
+MAX_MOLECULES = 100_000
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -72,6 +76,8 @@ class ChannelParams:
             raise ValueError("channel memory L must be at least 1 slot")
         if self.M < 0 or self.sigma_n2 < 0:
             raise ValueError("M and sigma_n2 must be non-negative")
+        if self.M > MAX_MOLECULES:
+            raise ValueError(f"M = {self.M} exceeds the cap of {MAX_MOLECULES} molecules")
 
     def with_molecules(self, M: int) -> "ChannelParams":
         return replace(self, M=M)
@@ -147,24 +153,18 @@ def _interference(history, p: np.ndarray) -> float:
     return float(h[::-1] @ p[1 : h.size + 1])
 
 
-def isi_of_sequence(word, i: int, profile) -> float:
-    """Interference hitting position i of one word from its earlier 1s,
-    summed as c_l * p_{i-l+1} over l < i.  Per-position densities in place
-    of bits give the expected interference."""
-    c = np.asarray(word)
-    p = np.asarray(profile, dtype=np.float64)
-    if not (1 <= i <= c.size):
-        raise ValueError(f"position {i} outside 1..{c.size}")
-    if c.size > p.size:
-        raise ValueError("word longer than the channel memory")
-    return _interference(c[: i - 1], p)
-
-
 def expected_isi(words, i: int, profile) -> float:
-    """Average of isi_of_sequence over a set of words (rows of a matrix or a
-    Codebook; pass transmitted forms to evaluate the swapped code)."""
-    mat = words.codewords if isinstance(words, Codebook) else np.atleast_2d(np.asarray(words))
-    return isi_of_sequence(mat.mean(axis=0), i, profile)
+    """Mean interference hitting position i of a set of words from their
+    earlier 1s, summed as c_l * p_{i-l+1} over l < i.  Takes the rows of a
+    matrix or one 1-D word; pass transmitted forms to evaluate the swapped
+    code."""
+    dens = np.atleast_2d(np.asarray(words)).mean(axis=0)
+    p = np.asarray(profile, dtype=np.float64)
+    if not (1 <= i <= dens.size):
+        raise ValueError(f"position {i} outside 1..{dens.size}")
+    if dens.size > p.size:
+        raise ValueError("word longer than the channel memory")
+    return _interference(dens[: i - 1], p)
 
 
 def streaming_expected_isi(densities, position: int, profile) -> float:

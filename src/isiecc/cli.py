@@ -24,7 +24,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bits import bits_to_str, parse_bits
+from .bits import bits_to_str
 from .channel import load_channel_config
 from .codebook import CodeSpec, build_codebook, export_codebook_csv
 from .codec import decode, encode
@@ -142,13 +142,12 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     if args.command == "encode":
         spec = CodeSpec.for_params(args.k, args.m)
-        word = encode(parse_bits(args.msg), spec)
-        print(bits_to_str(word.raw if args.no_post_encode else word.transmitted))
+        print(bits_to_str(encode(args.msg, spec, post_encoding=not args.no_post_encode)))
         return 0
 
     if args.command == "decode":
         spec = CodeSpec.for_params(args.k, args.m)
-        print(bits_to_str(decode(parse_bits(args.word), spec)))
+        print(bits_to_str(decode(args.word, spec)))
         return 0
 
     if args.command == "export-codebook":

@@ -24,13 +24,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .bits import as_bits, bits_to_str
+from .bits import bits_to_str
 
 # Practical caps keeping matrix construction in memory; raise explicitly if
 # larger codes are ever needed.
 MAX_K = 20
 MAX_M = 40
-_MAX_CLASS_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -135,35 +134,6 @@ def rank_stack(words) -> np.ndarray:
         rows += np.where(bit, 0, ones[m - 1 - j, weight])
         weight -= bit
     return rows
-
-
-def weight_class_matrix(m: int, i: int) -> np.ndarray:
-    """All m-bit words of weight i as rows, decimal value strictly decreasing:
-    the weight-i slice of the stack."""
-    if not (isinstance(m, int) and isinstance(i, int)):
-        raise ValueError("m and i must be integers")
-    if not (0 <= i <= m):
-        raise ValueError(f"weight i must satisfy 0 <= i <= m, got i={i}, m={m}")
-    if m > MAX_M or math.comb(m, i) > _MAX_CLASS_ROWS:
-        raise ValueError(f"refusing to materialize {math.comb(m, i)} rows for (m={m}, i={i})")
-    start = int(_class_starts(m)[i])
-    return unrank_stack(np.arange(start, start + math.comb(m, i)), m)
-
-
-def rank_in_weight_class(p, m: int, i: int) -> int:
-    """1-based row of an m-bit weight-i word inside its class: its stack row
-    less the rows of the lighter classes."""
-    bits = as_bits(p)
-    if bits.size != m or int(bits.sum()) != i:
-        raise ValueError(f"expected {m} bits of weight {i}, got {bits_to_str(bits)}")
-    return int(rank_stack(bits[None, :])[0] - _class_starts(m)[i]) + 1
-
-
-def unrank_in_weight_class(r: int, m: int, i: int) -> np.ndarray:
-    """Row r (1-based) of the weight-i class of length m."""
-    if not (0 <= i <= m and 1 <= r <= math.comb(m, i)):
-        raise ValueError(f"row {r} outside [1, C({m},{i})] or weight {i} outside [0, {m}]")
-    return unrank_stack([_class_starts(m)[i] + r - 1], m)[0]
 
 
 def parity_weight_cap(k: int, m: int) -> int:

@@ -13,11 +13,10 @@ and decode() are one-row calls into the same functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits, decimal_value
+from .bits import as_bits
 from .codebook import Codebook, CodeSpec, rank_stack, stack_codewords, value_bits
 
 
@@ -32,42 +31,28 @@ def swap_pairs(k: int) -> tuple[tuple[int, int], ...]:
 
 def swap_permutation(spec: CodeSpec) -> np.ndarray:
     """0-based position permutation of the transmit swaps for one code; an
-    involution, so it is its own inverse."""
+    involution, so the same indexing applies and undoes them."""
     perm = np.arange(spec.n)
     for a, b in swap_pairs(spec.k):
         perm[[a - 1, b - 1]] = perm[[b - 1, a - 1]]
     return perm
 
 
-def post_encode(word, spec: CodeSpec) -> np.ndarray:
-    """Apply the transmit-side swaps to a codeword."""
-    c = as_bits(word)
-    if c.size != spec.n:
-        raise ValueError(f"expected a word of length {spec.n}, got {c.size}")
-    return c[swap_permutation(spec)]
+def _codebook_rows(msgs: np.ndarray, spec: CodeSpec) -> np.ndarray:
+    """0-based codebook row of each k-bit message row: 2^k - 1 less its value."""
+    k = spec.k
+    return spec.size - 1 - (msgs.astype(np.int64) << np.arange(k - 1, -1, -1)).sum(axis=1)
 
 
-def pre_decode(word, spec: CodeSpec) -> np.ndarray:
-    """Undo the transmit-side swaps; the same permutation, being an involution."""
-    return post_encode(word, spec)
-
-
-@dataclass(frozen=True)
-class EncodedWord:
-    """A codeword before (raw) and after (transmitted) the transmit swaps."""
-
-    raw: np.ndarray
-    transmitted: np.ndarray
-
-
-def encode(u, spec: CodeSpec) -> EncodedWord:
-    """Encode k message bits into a codeword and its transmitted form: the
-    codebook row 2^k - 1 - decimal(u), unranked without building the codebook."""
+def encode(u, spec: CodeSpec, post_encoding: bool = True) -> np.ndarray:
+    """Encode k message bits into the transmitted codeword, or the raw
+    codebook row when post_encoding is False; unranked without building the
+    codebook."""
     bits = as_bits(u)
     if bits.size != spec.k:
         raise ValueError(f"expected {spec.k} message bits, got {bits.size}")
-    raw = stack_codewords([spec.size - 1 - decimal_value(bits)], spec)[0]
-    return EncodedWord(raw=raw, transmitted=post_encode(raw, spec))
+    word = stack_codewords(_codebook_rows(bits[None, :], spec), spec)[0]
+    return word[swap_permutation(spec)] if post_encoding else word
 
 
 def _decode_unswapped(v: np.ndarray, spec: CodeSpec) -> np.ndarray:
@@ -89,7 +74,10 @@ def _decode_unswapped(v: np.ndarray, spec: CodeSpec) -> np.ndarray:
 
 def decode(word, spec: CodeSpec) -> np.ndarray:
     """Decode a received (transmitted-form) word back to k message bits."""
-    return _decode_unswapped(pre_decode(word, spec)[None, :], spec)[0]
+    v = as_bits(word)
+    if v.size != spec.n:
+        raise ValueError(f"expected a word of length {spec.n}, got {v.size}")
+    return _decode_unswapped(v[swap_permutation(spec)][None, :], spec)[0]
 
 
 class BatchCodec:
@@ -119,9 +107,7 @@ class BatchCodec:
         k = self.spec.k
         if msgs.ndim != 2 or msgs.shape[1] != k:
             raise ValueError(f"expected shape (N, {k})")
-        dec = (msgs.astype(np.int64) << np.arange(k - 1, -1, -1)).sum(axis=1)
-        rows = self.spec.size - 1 - dec
-        return self._table[rows]
+        return self._table[_codebook_rows(msgs, self.spec)]
 
     def decode(self, words: np.ndarray) -> np.ndarray:
         spec = self.spec

@@ -273,10 +273,10 @@ def ber_point(
     return errors, bits, threshold
 
 
-# BER experiment kind -> the channel at one sweep value
+# BER experiment kind -> (swept CSV column, the channel at one sweep value)
 BER_SWEEPS = {
-    "ber-m": ChannelParams.with_molecules,
-    "ber-noise": ChannelParams.with_noise,
+    "ber-m": ("M", ChannelParams.with_molecules),
+    "ber-noise": ("sigma_n2", ChannelParams.with_noise),
 }
 
 
@@ -285,7 +285,7 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
     1-bit with noise held fixed ("ber-m"), or noise variance with M held
     fixed ("ber-noise")."""
     t0 = time.monotonic()
-    at_value = BER_SWEEPS[kind]
+    at_value = BER_SWEEPS[kind][1]
     if not config.sweep:
         raise ValueError(f"{kind} needs a non-empty sweep")
     coders = [make_coder(label, post_encoding=config.post_encoding) for label in config.codes]
@@ -371,11 +371,10 @@ def report_csv_text(report: TrialReport) -> str:
 
 def manifest_text(report: TrialReport) -> str:
     lines = [f"{key} = {_fmt(value)}" for key, value in report.config.items()]
-    thresholds = sorted(
-        {(row["code"], _fmt(row.get("threshold"))) for row in report.rows if "threshold" in row}
-    )
-    for code, theta in thresholds:
-        lines.append(f"threshold[{code}] = {theta}")
+    if report.kind in BER_SWEEPS:  # one threshold per sweep point, shared by every code
+        swept = BER_SWEEPS[report.kind][0]
+        thresholds = {f"{swept}={_fmt(row[swept])}": row["threshold"] for row in report.rows}
+        lines += [f"threshold[{key}] = {_fmt(theta)}" for key, theta in thresholds.items()]
     lines.append(f"wall_clock_s = {report.wall_clock_s:.3f}")
     if report.pilots is not None:
         lines.append(f"pilots = {report.pilots}")

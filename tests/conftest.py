@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from isiecc import ChannelParams, CodeSpec, EncodedWord, harness, slot_probs
+from isiecc import ChannelParams, CodeSpec, harness, slot_probs
 from isiecc.codec import swap_pairs
 
 
@@ -61,11 +61,12 @@ def _swapped(word, spec: CodeSpec) -> np.ndarray:
     return out
 
 
-def brute_encode(u, spec: CodeSpec) -> EncodedWord:
-    """Independent oracle: look the message up in the enumerated codebook."""
+def brute_encode(u, spec: CodeSpec, post_encoding: bool = True) -> np.ndarray:
+    """Independent oracle: look the message up in the enumerated codebook,
+    then apply the swaps unless post_encoding is False."""
     book = brute_codebook(spec.k, spec.m)
     raw = next(row for row in book if (row[: spec.k] == u).all()).copy()
-    return EncodedWord(raw=raw, transmitted=_swapped(raw, spec))
+    return _swapped(raw, spec) if post_encoding else raw
 
 
 def brute_decode(word, spec: CodeSpec) -> np.ndarray:

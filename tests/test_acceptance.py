@@ -23,18 +23,17 @@ from isiecc import (
     decode,
     message_matrix,
     parity_weight_cap,
-    post_encode,
     slot_probs,
     stream_average_isi,
     streaming_expected_isi,
     swap_gain,
     verify_min_distance,
-    weight_class_matrix,
 )
 from isiecc import ChannelParams, expected_isi, hitting_prob
-from isiecc.bits import bits_to_str
+from isiecc.bits import bits_to_str, parse_bits
 from isiecc.channel import transmit_counts
-from isiecc.codec import swap_pairs
+from isiecc.codebook import unrank_stack
+from isiecc.codec import swap_pairs, swap_permutation
 from isiecc.harness import ber_point, make_coder, report_csv_text, run_ber_experiment
 from isiecc.harness import ExperimentConfig
 
@@ -90,7 +89,7 @@ def test_criterion_03_exhaustive_single_error_correction():
         spec = CodeSpec.for_params(k, m)
         for bits in product((0, 1), repeat=k):
             u = np.array(bits, dtype=np.uint8)
-            tx = encode(u, spec).transmitted
+            tx = encode(u, spec)
             for pos in range(spec.n):
                 hit = tx.copy()
                 hit[pos] ^= 1
@@ -102,7 +101,7 @@ def test_criterion_03_exhaustive_single_error_correction():
 
 def test_criterion_04_transmit_swap_golden_case():
     spec = CodeSpec.for_params(3, 4)
-    got = bits_to_str(post_encode("01100010", spec))
+    got = bits_to_str(parse_bits("01100010")[swap_permutation(spec)])
     report(4, got == "01010010", f"row 5 transmits as {got}")
 
 
@@ -110,7 +109,8 @@ def test_criterion_05_matrix_property_suite():
     ok = True
     for m in range(1, 13):
         for i in range(m + 1):
-            mat = weight_class_matrix(m, i)
+            start = sum(math.comb(m, j) for j in range(i))  # rows of the lighter classes
+            mat = unrank_stack(np.arange(start, start + math.comb(m, i)), m)
             ok &= (mat == enumerate_weight_class(m, i)).all()
             expected_col = math.comb(m - 1, i - 1) if i >= 1 else 0
             ok &= (mat.sum(axis=0) == expected_col).all()
@@ -164,8 +164,8 @@ def test_criterion_07_swap_gains_nonpositive_and_exact():
 
 def test_criterion_08_expected_isi_ordering():
     t0 = time.monotonic()
-    last45 = expected_isi(build_codebook(4, 5), 10, PROFILE)
-    last56 = expected_isi(build_codebook(5, 6), 12, PROFILE)
+    last45 = expected_isi(build_codebook(4, 5).codewords, 10, PROFILE)
+    last56 = expected_isi(build_codebook(5, 6).codewords, 12, PROFILE)
     rep3_stream = streaming_expected_isi(np.full(3, 0.5), 3, PROFILE)
     gap = abs(last45 - last56) / min(last45, last56)
     elapsed = time.monotonic() - t0

@@ -14,7 +14,6 @@ from isiecc import (
     detect,
     expected_isi,
     hitting_prob,
-    isi_of_sequence,
     load_channel_config,
     make_coder,
     simulate_stream,
@@ -107,30 +106,38 @@ class TestSlotProbs:
 
 
 class TestIsiOfSequence:
+    """expected_isi of one 1-D word: that word's own interference."""
+
     def test_first_position_zero(self, profile_03):
-        assert isi_of_sequence([1, 1, 1], 1, profile_03) == 0.0
+        assert expected_isi([1, 1, 1], 1, profile_03) == 0.0
 
     def test_single_term(self, profile_03):
-        assert isi_of_sequence([1, 0], 2, profile_03) == pytest.approx(
+        assert expected_isi([1, 0], 2, profile_03) == pytest.approx(
             profile_03[1], abs=0
         )
 
     def test_two_terms(self, profile_03):
         expected = profile_03[2] + profile_03[1]
-        assert isi_of_sequence([1, 1, 0], 3, profile_03) == pytest.approx(expected, abs=1e-15)
+        assert expected_isi([1, 1, 0], 3, profile_03) == pytest.approx(expected, abs=1e-15)
 
     def test_matches_brute_oracle(self, profile_03):
         rng = np.random.default_rng(3)
         for _ in range(25):
             word = rng.integers(0, 2, size=12)
             i = int(rng.integers(1, 13))
-            assert isi_of_sequence(word, i, profile_03) == pytest.approx(
+            assert expected_isi(word, i, profile_03) == pytest.approx(
                 isi_brute(word, i, profile_03), abs=1e-14
             )
 
     def test_position_out_of_range(self, profile_03):
         with pytest.raises(ValueError):
-            isi_of_sequence([1, 0], 3, profile_03)
+            expected_isi([1, 0], 3, profile_03)
+        with pytest.raises(ValueError):
+            expected_isi([1, 0], 0, profile_03)
+
+    def test_word_longer_than_memory_rejected(self, profile_03):
+        with pytest.raises(ValueError, match="channel memory"):
+            expected_isi(np.zeros(profile_03.size + 1), 2, profile_03)
 
 
 class TestExpectedIsi:
@@ -140,7 +147,7 @@ class TestExpectedIsi:
     def test_single_word_equals_own_isi(self, profile_03):
         word = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
         assert expected_isi(word[None, :], 6, profile_03) == pytest.approx(
-            isi_of_sequence(word, 6, profile_03), abs=1e-15
+            expected_isi(word, 6, profile_03), abs=1e-15
         )
 
     def test_codebook_last_position_matches_brute_mean(self, profile_03):
@@ -148,7 +155,7 @@ class TestExpectedIsi:
         brute = math.fsum(
             isi_brute(row, 8, profile_03) for row in book.codewords
         ) / book.spec.size
-        assert expected_isi(book, 8, profile_03) == pytest.approx(brute, abs=1e-14)
+        assert expected_isi(book.codewords, 8, profile_03) == pytest.approx(brute, abs=1e-14)
 
 
 class TestStreamingIsi:
@@ -237,7 +244,7 @@ class TestExpectedIsiMatchesMonteCarlo:
             frames.reshape(-1), params_03, rng, include_own_slot=False
         ).reshape(trials, n + L)
         empirical = interference[:, n - 1].mean() / M
-        analytic = expected_isi(book, n, profile_03)
+        analytic = expected_isi(book.codewords, n, profile_03)
         assert empirical == pytest.approx(analytic, rel=0.02)
 
 
@@ -713,6 +720,12 @@ class TestChannelConfig:
     def test_non_finite_values_rejected(self, params_03, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             replace(params_03, **{field: value})
+
+    def test_molecules_above_cap_rejected(self, params_03):
+        cap = channel.MAX_MOLECULES
+        assert params_03.with_molecules(cap).M == cap
+        with pytest.raises(ValueError, match=f"M = {cap + 1} exceeds the cap of {cap}"):
+            params_03.with_molecules(cap + 1)
 
     def test_non_finite_noise_rejected_by_with_noise(self, params_03):
         with pytest.raises(ValueError, match="sigma_n2 must be finite"):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import count_pilots
+from isiecc import channel, cli, codebook
 from isiecc.cli import _parse_sweep, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -58,6 +59,19 @@ class TestCodecCommands:
     def test_bad_bits_exit_code(self, capsys):
         assert main(["encode", "--k", "3", "--m", "4", "--msg", "21"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_single_word_path_builds_no_codebook(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("codebook built")
+
+        monkeypatch.setattr(cli, "build_codebook", refuse)
+        monkeypatch.setattr(codebook, "build_codebook", refuse)
+        assert main(["encode", "--k", "20", "--m", "40", "--msg", "1" * 20]) == 0
+        word = capsys.readouterr().out.strip()
+        assert len(word) == 61
+        hit = word[:30] + ("1" if word[30] == "0" else "0") + word[31:]
+        assert main(["decode", "--k", "20", "--m", "40", "--word", hit]) == 0
+        assert capsys.readouterr().out.strip() == "1" * 20
 
     def test_export_into_missing_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "book.csv"
@@ -129,6 +143,34 @@ class TestExperimentCommands:
         assert main(argv + ["--sweep", "100.5:101.5:0.5", "--trials", "1000"]) == 2
         assert "100.5" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_molecule_sweep_above_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        pilots = count_pilots(monkeypatch)
+        tables = []
+        monkeypatch.setattr(channel, "_transport_tables", lambda *args: tables.append(args))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ber.csv"
+        argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--out", str(out)]
+        assert main(argv + ["--sweep", "300:200000:199700", "--trials", "1000"]) == 2
+        assert "M = 200000 exceeds the cap of 100000" in capsys.readouterr().err
+        assert pilots == [] and tables == []
+        assert not out.exists()
+
+    def test_manifest_thresholds_keyed_by_sweep_point(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ber.csv"
+        argv = ["ber-m", "--config", str(cfg), "--code", "ckm:4,5", "--code", "uncoded"]
+        argv += ["--sweep", "300:500:200", "--out", str(out), "--trials", "300"]
+        assert main(argv + ["--pilot-slots", "20000"]) == 0
+        manifest = (tmp_path / "ber.manifest.txt").read_text().splitlines()
+        keys = [line.split(" = ")[0] for line in manifest if line.startswith("threshold[")]
+        assert keys == ["threshold[M=300]", "threshold[M=500]"]
+        rows = out.read_text().splitlines()[1:]
+        by_m = {row.split(",")[4]: row.split(",")[-1] for row in rows}
+        assert [line.split(" = ")[1] for line in manifest if line.startswith("threshold[")] == [
+            by_m["300"],
+            by_m["500"],
+        ]
 
     def test_isi_end_to_end(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -228,7 +270,7 @@ class TestExperimentCommands:
         [
             (
                 ["ber-m", "--code", "uncoded", "--sweep", "300:300:1", "--pilot-slots", "20000"],
-                ["workers", "block_size", "pilot_slots", "version", "threshold[uncoded]",
+                ["workers", "block_size", "pilot_slots", "version", "threshold[M=300]",
                  "wall_clock_s", "pilots", "pilot_s"],
             ),
             (["isi", "--code", "rep3"], ["version", "wall_clock_s"]),

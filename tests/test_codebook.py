@@ -16,9 +16,9 @@ from isiecc import (
     message_matrix,
     parity_weight_cap,
     verify_min_distance,
-    weight_class_matrix,
 )
-from isiecc.bits import bits_to_str, decimal_value
+from isiecc.bits import bits_to_str
+from isiecc.codebook import unrank_stack
 
 # the (8,8,3) reference codebook, rows r=1..8 as (message, parity, extra)
 REFERENCE_38 = [
@@ -50,7 +50,7 @@ class TestMessageMatrix:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_rows_strictly_decreasing_and_value(self, k):
         mat = message_matrix(k)
-        vals = [decimal_value(r) for r in mat]
+        vals = [int(bits_to_str(r), 2) for r in mat]
         assert vals == sorted(vals, reverse=True)
         assert vals == [(1 << k) - r for r in range(1, (1 << k) + 1)]
 
@@ -63,6 +63,13 @@ class TestMessageMatrix:
             message_matrix(0)
         with pytest.raises(ValueError):
             message_matrix(21)
+
+
+def weight_class_matrix(m, i):
+    """The weight-i class of m-bit words: its rows of the weight-stacked list,
+    which start after the C(m, j) rows of every lighter weight j."""
+    start = sum(math.comb(m, j) for j in range(i))
+    return unrank_stack(np.arange(start, start + math.comb(m, i)), m)
 
 
 class TestWeightClassMatrix:
@@ -90,8 +97,11 @@ class TestWeightClassMatrix:
             assert (built.sum(axis=0) == expected_col).all()
 
     def test_rejects_weight_above_length(self):
+        # no 4-bit word has weight 5: its class is empty, and its first row
+        # would be row 2^4, past the stack
+        assert weight_class_matrix(4, 5).shape == (0, 4)
         with pytest.raises(ValueError):
-            weight_class_matrix(4, 5)
+            unrank_stack([sum(math.comb(4, j) for j in range(5))], 4)
 
 
 class TestParityWeightCap:

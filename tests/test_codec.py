@@ -8,17 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_decode, brute_encode, enumerate_weight_class
-from isiecc import (
-    BatchCodec,
-    CodeSpec,
-    build_codebook,
-    decode,
-    encode,
-    post_encode,
-    pre_decode,
-    rank_in_weight_class,
-    unrank_in_weight_class,
-)
+from isiecc import BatchCodec, CodeSpec, build_codebook, decode, encode
 from isiecc.bits import bits_to_str, parse_bits
 from isiecc.codebook import MAX_K, MAX_M, rank_stack, unrank_stack
 from isiecc.codec import swap_pairs, swap_permutation
@@ -28,6 +18,28 @@ ROUNDTRIP_SPECS = [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 23), (7, 27)]
 
 def all_messages(k):
     return [np.array(bits, dtype=np.uint8) for bits in product((0, 1), repeat=k)]
+
+
+def swapped(word, spec):
+    """A bit string or array with the transmit swaps applied, or undone: the
+    permutation is an involution."""
+    bits = parse_bits(word) if isinstance(word, str) else np.asarray(word)
+    return bits[swap_permutation(spec)]
+
+
+def class_start(m, i):
+    """Stack row where the weight-i class of m-bit words starts."""
+    return sum(math.comb(m, j) for j in range(i))
+
+
+def rank_in_class(word, m, i):
+    """1-based row of an m-bit weight-i word inside its class."""
+    return int(rank_stack(np.asarray(word)[None, :])[0]) - class_start(m, i) + 1
+
+
+def unrank_in_class(r, m, i):
+    """Row r (1-based) of the weight-i class of length m."""
+    return unrank_stack([class_start(m, i) + r - 1], m)[0]
 
 
 class TestSwapSchedule:
@@ -63,23 +75,23 @@ class TestSwapSchedule:
 class TestPostEncode:
     def test_reference_swap(self):
         spec = CodeSpec.for_params(3, 4)
-        assert bits_to_str(post_encode("01100010", spec)) == "01010010"
+        assert bits_to_str(swapped("01100010", spec)) == "01010010"
 
     def test_all_zero_unchanged(self):
         spec = CodeSpec.for_params(3, 4)
-        assert bits_to_str(post_encode("00000000", spec)) == "00000000"
+        assert bits_to_str(swapped("00000000", spec)) == "00000000"
 
     def test_k4_swaps_positions_3_and_5_only(self):
         spec = CodeSpec.for_params(4, 5)
-        assert bits_to_str(post_encode("1110000000", spec)) == "1100100000"
+        assert bits_to_str(swapped("1110000000", spec)) == "1100100000"
 
     def test_pre_decode_reference(self):
         spec = CodeSpec.for_params(3, 4)
-        assert bits_to_str(pre_decode("01010010", spec)) == "01100010"
+        assert bits_to_str(swapped("01010010", spec)) == "01100010"
 
     def test_all_ones_unchanged(self):
         spec = CodeSpec.for_params(3, 4)
-        assert bits_to_str(pre_decode("11111111", spec)) == "11111111"
+        assert bits_to_str(swapped("11111111", spec)) == "11111111"
 
     @pytest.mark.parametrize("k,m", ROUNDTRIP_SPECS)
     def test_involution_and_weight_preserving(self, k, m):
@@ -87,62 +99,63 @@ class TestPostEncode:
         rng = np.random.default_rng(7 * k + m)
         for _ in range(20):
             w = rng.integers(0, 2, size=spec.n, dtype=np.uint8)
-            assert (pre_decode(post_encode(w, spec), spec) == w).all()
-            assert (post_encode(pre_decode(w, spec), spec) == w).all()
-            assert post_encode(w, spec).sum() == w.sum()
+            assert (swapped(swapped(w, spec), spec) == w).all()
+            assert swapped(w, spec).sum() == w.sum()
 
     def test_length_mismatch_rejected(self):
+        # the swap runs only inside decode, which checks the length first
         spec = CodeSpec.for_params(3, 4)
         with pytest.raises(ValueError):
-            post_encode("0101", spec)
+            decode("0101", spec)
 
 
 class TestRankUnrank:
     def test_examples(self):
-        assert rank_in_weight_class(parse_bits("0001"), 4, 1) == 4
-        assert rank_in_weight_class(parse_bits("1001"), 4, 2) == 3
-        assert rank_in_weight_class(parse_bits("1111"), 4, 4) == 1
-        assert bits_to_str(unrank_in_weight_class(1, 4, 2)) == "1100"
-        assert bits_to_str(unrank_in_weight_class(math.comb(4, 2), 4, 2)) == "0011"
-        assert bits_to_str(unrank_in_weight_class(1, 5, 0)) == "00000"
+        assert rank_in_class(parse_bits("0001"), 4, 1) == 4
+        assert rank_in_class(parse_bits("1001"), 4, 2) == 3
+        assert rank_in_class(parse_bits("1111"), 4, 4) == 1
+        assert bits_to_str(unrank_in_class(1, 4, 2)) == "1100"
+        assert bits_to_str(unrank_in_class(math.comb(4, 2), 4, 2)) == "0011"
+        assert bits_to_str(unrank_in_class(1, 5, 0)) == "00000"
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_agrees_with_enumeration(self, m):
         for i in range(m + 1):
             rows = enumerate_weight_class(m, i)
             for r, row in enumerate(rows, start=1):
-                assert (unrank_in_weight_class(r, m, i) == row).all()
-                assert rank_in_weight_class(row, m, i) == r
+                assert (unrank_in_class(r, m, i) == row).all()
+                assert rank_in_class(row, m, i) == r
 
     def test_rank_rejects_weight_mismatch(self):
-        with pytest.raises(ValueError):
-            rank_in_weight_class(parse_bits("0011"), 4, 1)
+        # a weight-2 word ranks past the end of the weight-1 class
+        assert rank_in_class(parse_bits("0011"), 4, 1) > math.comb(4, 1)
 
     def test_unrank_rejects_out_of_range(self):
+        # unrank_stack rejects rows outside the 2^m-row stack
         with pytest.raises(ValueError):
-            unrank_in_weight_class(7, 4, 2)
+            unrank_stack([1 << 4], 4)
         with pytest.raises(ValueError):
-            unrank_in_weight_class(0, 4, 2)
+            unrank_stack([-1], 4)
 
 
 class TestEncode:
     def test_reference_rows(self):
         spec = CodeSpec.for_params(3, 4)
-        assert bits_to_str(encode("111", spec).raw) == "11100001"
-        assert bits_to_str(encode("011", spec).raw) == "01100010"
-        assert bits_to_str(encode("000", spec).raw) == "00010011"
+        assert bits_to_str(encode("111", spec, post_encoding=False)) == "11100001"
+        assert bits_to_str(encode("011", spec, post_encoding=False)) == "01100010"
+        assert bits_to_str(encode("000", spec, post_encoding=False)) == "00010011"
 
     def test_transmitted_is_post_encoded(self):
         spec = CodeSpec.for_params(3, 4)
-        word = encode("011", spec)
-        assert (word.transmitted == post_encode(word.raw, spec)).all()
+        raw = encode("011", spec, post_encoding=False)
+        assert (encode("011", spec) == swapped(raw, spec)).all()
 
     @pytest.mark.parametrize("k,m", ROUNDTRIP_SPECS)
     def test_encode_equals_codebook_row(self, k, m):
         spec = CodeSpec.for_params(k, m)
         book = build_codebook(k, m)
         for row, u in zip(book.codewords, book.message_bits):
-            assert (encode(u, spec).raw == row).all()
+            assert (encode(u, spec, post_encoding=False) == row).all()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -156,27 +169,27 @@ class TestDecode:
 
     def test_message_bit_error_corrected(self):
         spec = CodeSpec.for_params(3, 4)
-        tx = encode("011", spec).transmitted.copy()
+        tx = encode("011", spec)
         tx[0] ^= 1
         assert bits_to_str(decode(tx, spec)) == "011"
 
     def test_parity_bit_error_passes_message_through(self):
         spec = CodeSpec.for_params(3, 4)
-        raw = encode("011", spec).raw.copy()
+        raw = encode("011", spec, post_encoding=False)
         raw[3] ^= 1  # first parity-body position
-        assert bits_to_str(decode(post_encode(raw, spec), spec)) == "011"
+        assert bits_to_str(decode(swapped(raw, spec), spec)) == "011"
 
     @pytest.mark.parametrize("k,m", ROUNDTRIP_SPECS)
     def test_round_trip_all_messages(self, k, m):
         spec = CodeSpec.for_params(k, m)
         for u in all_messages(k):
-            assert (decode(encode(u, spec).transmitted, spec) == u).all()
+            assert (decode(encode(u, spec), spec) == u).all()
 
     @pytest.mark.parametrize("k,m", [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
     def test_every_single_flip_corrected(self, k, m):
         spec = CodeSpec.for_params(k, m)
         for u in all_messages(k):
-            tx = encode(u, spec).transmitted
+            tx = encode(u, spec)
             for pos in range(spec.n):
                 hit = tx.copy()
                 hit[pos] ^= 1
@@ -187,7 +200,7 @@ class TestDecode:
         # row index 5 + 6 = 11 > 8, a two-error situation
         spec = CodeSpec.for_params(3, 4)
         raw = parse_bits("10100111")  # body 0011 (last weight-2 row), extra 1
-        assert bits_to_str(decode(post_encode(raw, spec), spec)) == "101"
+        assert bits_to_str(decode(swapped(raw, spec), spec)) == "101"
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -204,8 +217,7 @@ class TestBatchCodec:
         msgs = np.array(all_messages(k), dtype=np.uint8)
         words = codec.encode(msgs)
         for u, w in zip(msgs, words):
-            ref = brute_encode(u, spec)
-            assert (w == (ref.transmitted if post else ref.raw)).all()
+            assert (w == brute_encode(u, spec, post_encoding=post)).all()
         assert (codec.decode(words) == msgs).all()
 
     def test_batch_decode_single_flips(self):
@@ -263,7 +275,7 @@ class TestCodecProperties:
         spec, msgs = case
         codec = BatchCodec(build_codebook(spec.k, spec.m))
         words = codec.encode(msgs)
-        assert (words == np.array([encode(u, spec).transmitted for u in msgs])).all()
+        assert (words == np.array([encode(u, spec) for u in msgs])).all()
         for pos in range(spec.n):
             hit = words.copy()
             hit[:, pos] ^= 1
@@ -274,7 +286,7 @@ class TestCodecProperties:
     def test_every_single_flip_decodes_to_the_message(self, case):
         spec, msgs = case
         for u in msgs:
-            tx = encode(u, spec).transmitted
+            tx = encode(u, spec)
             assert (decode(tx, spec) == u).all()
             for pos in range(spec.n):
                 hit = tx.copy()

@@ -324,7 +324,7 @@ class TestReportOutput:
         assert "seed = 11" in manifest
         assert "version = " in manifest
         assert "wall_clock_s = " in manifest
-        assert "threshold[uncoded]" in manifest
+        assert "threshold[M=150]" in manifest
 
     def test_ber_manifest_counts_pilots(self, params_03):
         config = small_config(params_03, codes=("ckm:4,5", "uncoded"), trials=800)

@@ -1,0 +1,44 @@
+import ast
+from pathlib import Path
+
+import isiecc
+
+SRC = Path(isiecc.__file__).resolve().parent
+
+PUBLIC = {
+    "BatchCodec", "ChannelParams", "CodeSpec", "Codebook", "ExperimentConfig", "TrialReport",
+    "bits_to_str", "build_codebook", "calibrate_threshold", "codeword_isi_bound", "decode",
+    "density_profile", "design_for_rate", "detect", "encode", "expected_isi",
+    "export_codebook_csv", "hitting_prob", "load_channel_config", "make_coder",
+    "message_matrix", "parity_weight_cap", "parse_bits", "run_ber_experiment",
+    "run_isi_experiment", "simulate_stream", "slot_probs", "stream_average_isi",
+    "streaming_expected_isi", "swap_gain", "verify_min_distance", "write_report",
+}
+
+
+def test_public_names_pinned():
+    # no submodule is exported, and any change to the package API shows up here
+    assert set(isiecc.__all__) == PUBLIC
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never references."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_detected():
+    assert unused_imports("import math\nfrom x import a, b as c\nprint(a)\n") == ["math", "c"]
+
+
+def test_no_orphaned_imports():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            assert unused_imports(path.read_text()) == [], path.name
