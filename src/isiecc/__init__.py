@@ -17,7 +17,7 @@ from .codebook import (
     parity_weight_cap,
     verify_min_distance,
 )
-from .codec import BatchCodec, decode, encode
+from .codec import BatchCodec, decode, encode, swap_gain
 from .channel import (
     ChannelParams,
     calibrate_threshold,
@@ -30,7 +30,6 @@ from .channel import (
     slot_probs,
     stream_average_isi,
     streaming_expected_isi,
-    swap_gain,
 )
 from .harness import (
     ExperimentConfig,

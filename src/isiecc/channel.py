@@ -33,9 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook
-from .codec import swap_pairs
-
 CONFIG_KEYS = ("D_um2_per_s", "r_um", "r0_um", "ts_s", "L", "M", "sigma_n2", "seed")
 
 # Cap on molecules per 1-bit: a channel point's transport table build peaks at
@@ -182,9 +179,10 @@ def streaming_expected_isi(densities, position: int, profile) -> float:
 
 def stream_average_isi(densities, profile) -> float:
     """Per-slot expected interference of the streamed code, averaged over the
-    codeword period; proportional to the code's average bit-1 density."""
-    n = np.asarray(densities).size
-    return math.fsum(streaming_expected_isi(densities, i, profile) for i in range(1, n + 1)) / n
+    codeword period: the average bit-1 density times p_2 + ... + p_L, since
+    over one period each lag meets every position once."""
+    p = np.asarray(profile, dtype=np.float64)
+    return float(np.mean(densities)) * float(p[1:].sum())
 
 
 def codeword_isi_bound(codeword, profile, max_parity_weight: int, message_len: int) -> bool:
@@ -205,24 +203,6 @@ def codeword_isi_bound(codeword, profile, max_parity_weight: int, message_len: i
     return all(
         _interference(parity[: i - 1], p) <= budget + 1e-12 for i in range(2, parity.size + 1)
     )
-
-
-def swap_gain(book: Codebook, profile, t: int) -> float:
-    """Change of the two affected interference sums when the transmit swap for
-    odd index t is applied alone.
-
-    Swapping positions (ceil(k/2)+t, k+t) changes the summed interference at
-    the two following positions by -(2^(k-1) - w) * p_{floor(k/2)+2}, where w
-    is the column weight at position k+t.  Never positive, since no column
-    outweighs a message column.
-    """
-    k = book.spec.k
-    valid_t = tuple(a - math.ceil(k / 2) for a, _ in swap_pairs(k))
-    if t not in valid_t:
-        raise ValueError(f"t must be one of {valid_t} for k={k}")
-    p = np.asarray(profile, dtype=np.float64)
-    w = book.column_weights[k + t - 1]
-    return -(2 ** (k - 1) - w) * float(p[k // 2 + 1])
 
 
 class GuideTable:

@@ -40,7 +40,8 @@ from .harness import (
 
 
 def _parse_sweep(text: str) -> tuple[float, ...]:
-    """Parse lo:hi:step into an inclusive sweep."""
+    """Parse lo:hi:step into the values lo + i * step, rounded to 9 decimals,
+    for i = 0 .. floor((hi - lo) / step + 1e-9); they must strictly increase."""
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
@@ -49,12 +50,11 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"sweep bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("need step > 0 and hi >= lo")
-    values = []
-    v = lo
-    while v <= hi + 1e-9:
-        values.append(round(v, 9))
-        v += step
-    return tuple(values)
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    values = tuple(round(lo + i * step, 9) for i in range(count))
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(f"sweep step {step:g} repeats values at 9 decimals")
+    return values
 
 
 def _add_code_args(sub: argparse.ArgumentParser) -> None:
@@ -140,13 +140,18 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    out = getattr(args, "out", None)  # checked before any work; encode/decode have none
+    if out is not None and Path(out).is_dir():
+        raise IsADirectoryError(f"cannot write {out}: it is a directory")
+    if out is not None and not Path(out).parent.is_dir():
+        raise FileNotFoundError(f"cannot write {out}: no directory {Path(out).parent}")
     if args.command == "encode":
-        spec = CodeSpec.for_params(args.k, args.m)
+        spec = CodeSpec(args.k, args.m)
         print(bits_to_str(encode(args.msg, spec, post_encoding=not args.no_post_encode)))
         return 0
 
     if args.command == "decode":
-        spec = CodeSpec.for_params(args.k, args.m)
+        spec = CodeSpec(args.k, args.m)
         print(bits_to_str(decode(args.word, spec)))
         return 0
 
@@ -159,9 +164,6 @@ def _run(args) -> int:
                 export_codebook_csv(book, handle)
         return 0
 
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise FileNotFoundError(f"cannot write {args.out}: no directory {out_dir}")
     if args.command == "isi":
         report = run_isi_experiment(_experiment_config(args))
     else:

@@ -34,25 +34,32 @@ MAX_M = 40
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """Design parameters of one code: k message bits, m parity-body bits,
-    codeword length n = k + m + 1, 2^k codewords, minimum distance 3."""
+    """One code, fixed by k message bits and m parity-body bits; its length
+    n = k + m + 1, 2^k codewords, weight cap and distance 3 follow."""
 
     k: int
     m: int
-    max_parity_weight: int
-    n: int
-    size: int
-    min_distance: int = 3
 
-    @classmethod
-    def for_params(cls, k: int, m: int) -> "CodeSpec":
+    def __post_init__(self):
+        k, m = self.k, self.m
         if not (isinstance(k, int) and isinstance(m, int)):
             raise ValueError("k and m must be integers")
         if not (1 <= k <= MAX_K):
             raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
         if not (k < m <= MAX_M):
             raise ValueError(f"m must satisfy k < m <= {MAX_M}, got m={m} for k={k}")
-        return cls(k=k, m=m, max_parity_weight=parity_weight_cap(k, m), n=k + m + 1, size=1 << k)
+
+    @property
+    def n(self) -> int:
+        return self.k + self.m + 1
+
+    @property
+    def size(self) -> int:
+        return 1 << self.k
+
+    @property
+    def max_parity_weight(self) -> int:
+        return parity_weight_cap(self.k, self.m)
 
     @property
     def rate(self) -> Fraction:
@@ -171,33 +178,21 @@ class Codebook:
     codewords: np.ndarray
     column_weights: tuple[int, ...]
 
-    @property
-    def message_bits(self) -> np.ndarray:
-        return self.codewords[:, : self.spec.k]
-
-    @property
-    def parity_bodies(self) -> np.ndarray:
-        return self.codewords[:, self.spec.k : self.spec.k + self.spec.m]
-
-    @property
-    def weight_parity_bits(self) -> np.ndarray:
-        return self.codewords[:, -1]
-
 
 def build_codebook(k: int, m: int) -> Codebook:
-    spec = CodeSpec.for_params(k, m)
+    spec = CodeSpec(k, m)
     words = stack_codewords(np.arange(spec.size), spec)
     words.setflags(write=False)
     col = tuple(int(c) for c in words.sum(axis=0, dtype=np.int64))
     return Codebook(spec=spec, codewords=words, column_weights=col)
 
 
-def verify_min_distance(codebook: Codebook | np.ndarray) -> float:
-    """Exact minimum pairwise Hamming distance by an all-pairs scan.
+def verify_min_distance(words) -> float:
+    """Exact minimum pairwise Hamming distance of a word matrix's rows, by an all-pairs scan.
 
     Returns math.inf for a single-codeword input (no pairs to compare).
     """
-    words = codebook.codewords if isinstance(codebook, Codebook) else np.asarray(codebook)
+    words = np.asarray(words)
     if words.ndim != 2 or words.shape[0] == 0:
         raise ValueError("expected a non-empty matrix of codewords")
     s = words.shape[0]
@@ -221,9 +216,10 @@ def design_for_rate(epsilon, k_max: int) -> tuple[tuple[int, int, int], ...]:
     """The (k, m, weight cap) triple of every k <= k_max for which a
     rate-epsilon code of length k/epsilon exists.
 
-    A candidate k must make k/epsilon an integer n, leave room for the parity
-    section (cap + k + 1 < n), and satisfy the binomial sandwich that pins the
-    weight cap for m = n - k - 1.  The cap may not exceed k.
+    A candidate k must make k/epsilon an integer n and leave m = n - k - 1
+    above k.  parity_weight_cap(k, m) is then the cap, the smallest whose
+    weight classes hold 2^k rows; it is at most k, since the classes of
+    weight <= k already hold 2^k rows when m > k, and so below m.
     """
     eps = Fraction(epsilon)
     if not (0 < eps < Fraction(1, 2)):
@@ -239,13 +235,7 @@ def design_for_rate(epsilon, k_max: int) -> tuple[tuple[int, int, int], ...]:
         m = n - k - 1
         if m <= k:
             continue
-        tau = parity_weight_cap(k, m)
-        if tau > k or tau + k + 1 >= n:
-            continue
-        below = sum(math.comb(m, j) for j in range(tau))
-        if not (below < (1 << k) <= below + math.comb(m, tau)):
-            continue
-        found.append((k, m, tau))
+        found.append((k, m, parity_weight_cap(k, m)))
     return tuple(found)
 
 

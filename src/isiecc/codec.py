@@ -38,6 +38,24 @@ def swap_permutation(spec: CodeSpec) -> np.ndarray:
     return perm
 
 
+def swap_gain(book: Codebook, profile, t: int) -> float:
+    """Change of the two affected interference sums when the transmit swap for
+    odd index t is applied alone.
+
+    Swapping positions (ceil(k/2)+t, k+t) changes the summed interference at
+    the two following positions by -(2^(k-1) - w) * p_{floor(k/2)+2}, where w
+    is the column weight at position k+t.  Never positive, since no column
+    outweighs a message column.
+    """
+    k = book.spec.k
+    valid_t = tuple(a - math.ceil(k / 2) for a, _ in swap_pairs(k))
+    if t not in valid_t:
+        raise ValueError(f"t must be one of {valid_t} for k={k}")
+    p = np.asarray(profile, dtype=np.float64)
+    w = book.column_weights[k + t - 1]
+    return -(2 ** (k - 1) - w) * float(p[k // 2 + 1])
+
+
 def _codebook_rows(msgs: np.ndarray, spec: CodeSpec) -> np.ndarray:
     """0-based codebook row of each k-bit message row: 2^k - 1 less its value."""
     k = spec.k

@@ -340,21 +340,6 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
 # output
 
 
-ISI_COLUMNS = ("code", "ts_s", "L", "position", "expected_isi_analytic", "expected_isi_mc")
-BER_COLUMNS = (
-    "code",
-    "post_encoding",
-    "ts_s",
-    "L",
-    "M",
-    "sigma_n2",
-    "bits_sent",
-    "bit_errors",
-    "ber",
-    "threshold",
-)
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".12g")
@@ -362,7 +347,7 @@ def _fmt(value) -> str:
 
 
 def report_csv_text(report: TrialReport) -> str:
-    columns = ISI_COLUMNS if report.kind == "isi" else BER_COLUMNS
+    columns = list(report.rows[0])  # every row of a report has the same keys
     lines = [",".join(columns)]
     for row in report.rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))

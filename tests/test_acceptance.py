@@ -74,7 +74,7 @@ def test_criterion_02_parameters_by_brute_force():
     ok = True
     for k, m in VERIFIED_CODES:
         book = build_codebook(k, m)
-        ok &= verify_min_distance(book) == 3
+        ok &= verify_min_distance(book.codewords) == 3
         ok &= book.spec.size == (1 << k) == book.codewords.shape[0]
         ok &= book.spec.n == k + m + 1 == book.codewords.shape[1]
     elapsed = time.monotonic() - t0
@@ -86,7 +86,7 @@ def test_criterion_03_exhaustive_single_error_correction():
     cases = 0
     ok = True
     for k, m in ((3, 4), (4, 5), (5, 6)):
-        spec = CodeSpec.for_params(k, m)
+        spec = CodeSpec(k, m)
         for bits in product((0, 1), repeat=k):
             u = np.array(bits, dtype=np.uint8)
             tx = encode(u, spec)
@@ -100,7 +100,7 @@ def test_criterion_03_exhaustive_single_error_correction():
 
 
 def test_criterion_04_transmit_swap_golden_case():
-    spec = CodeSpec.for_params(3, 4)
+    spec = CodeSpec(3, 4)
     got = bits_to_str(parse_bits("01100010")[swap_permutation(spec)])
     report(4, got == "01010010", f"row 5 transmits as {got}")
 

@@ -11,6 +11,7 @@ from isiecc import (
     ChannelParams,
     build_codebook,
     calibrate_threshold,
+    density_profile,
     detect,
     expected_isi,
     hitting_prob,
@@ -182,6 +183,15 @@ class TestStreamingIsi:
             streaming_expected_isi(dens, pos, profile_03) for pos in range(1, 11)
         ]
         assert avg == pytest.approx(sum(per_pos) / 10, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "k,m", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 23), (7, 27)]
+    )
+    def test_stream_average_is_mean_over_positions(self, k, m, profile_03):
+        dens = density_profile(build_codebook(k, m))
+        per_pos = [streaming_expected_isi(dens, i, profile_03) for i in range(1, dens.size + 1)]
+        expected = math.fsum(per_pos) / dens.size
+        assert stream_average_isi(dens, profile_03) == pytest.approx(expected, rel=1e-15)
 
 
 class TestSwapGain:

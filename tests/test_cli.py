@@ -73,6 +73,14 @@ class TestCodecCommands:
         assert main(["decode", "--k", "20", "--m", "40", "--word", hit]) == 0
         assert capsys.readouterr().out.strip() == "1" * 20
 
+    def test_export_onto_directory_fails_before_the_build(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("codebook built")
+
+        monkeypatch.setattr(cli, "build_codebook", refuse)
+        assert main(["export-codebook", "--k", "3", "--m", "4", "--out", str(tmp_path)]) == 2
+        assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+
     def test_export_into_missing_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "book.csv"
         assert main(["export-codebook", "--k", "3", "--m", "4", "--out", str(out)]) == 2
@@ -90,6 +98,33 @@ class TestSweepParsing:
     def test_bad_spec_rejected(self):
         with pytest.raises(Exception):
             _parse_sweep("100:50:10")
+
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            ("150:300:75", (150.0, 225.0, 300.0)),
+            ("30:120:45", (30.0, 75.0, 120.0)),
+            ("100:300:25", tuple(100.0 + 25 * i for i in range(9))),
+            ("0:120:30", (0.0, 30.0, 60.0, 90.0, 120.0)),
+            ("0:1:0.1", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+            ("0.1:0.3:0.1", (0.1, 0.2, 0.3)),
+        ],
+    )
+    def test_shipped_style_sweeps(self, text, values):
+        assert _parse_sweep(text) == values
+
+    def test_fine_step_stops_at_hi(self):
+        assert _parse_sweep("0:3e-9:1e-9") == (0.0, 1e-9, 2e-9, 3e-9)
+
+    def test_step_below_resolution_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ber.csv"
+        argv = ["ber-noise", "--config", str(cfg), "--code", "uncoded", "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--sweep", "0:1e-9:1e-10"])
+        assert exit_info.value.code == 2
+        assert "step 1e-10" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["0:inf:1", "-inf:0:1", "0:10:inf", "nan:10:1", "0:nan:1"])
     def test_non_finite_sweep_exits_2(self, tmp_path, capsys, text):
@@ -250,6 +285,21 @@ class TestExperimentCommands:
         assert main(argv + ["--sweep", "300:300:1", "--trials", "1000"]) == 2
         assert str(out.parent) in capsys.readouterr().err
         assert pilots == []
+
+    @pytest.mark.parametrize("command", ["ber-m", "isi"])
+    def test_output_onto_directory_fails_before_any_pilot(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        pilots = count_pilots(monkeypatch)
+        tables = []
+        monkeypatch.setattr(channel, "_transport_tables", lambda *args: tables.append(args))
+        cfg = write_config(tmp_path)
+        argv = [command, "--config", str(cfg), "--code", "uncoded", "--out", str(tmp_path)]
+        if command == "ber-m":
+            argv += ["--sweep", "300:300:1"]
+        assert main(argv + ["--trials", "1000"]) == 2
+        assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+        assert pilots == [] and tables == []
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, source):

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +19,7 @@ from isiecc import (
     verify_min_distance,
 )
 from isiecc.bits import bits_to_str
-from isiecc.codebook import unrank_stack
+from isiecc.codebook import MAX_K, MAX_M, unrank_stack
 
 # the (8,8,3) reference codebook, rows r=1..8 as (message, parity, extra)
 REFERENCE_38 = [
@@ -130,6 +131,43 @@ class TestParityWeightCap:
         with pytest.raises(ValueError):
             parity_weight_cap(4, 4)
 
+    def test_cap_bounds_over_supported_range(self):
+        # every k <= MAX_K, k < m <= MAX_M: the cap is the smallest whose
+        # classes hold 2^k rows, at most k, and below m, so design_for_rate
+        # needs no check of its own
+        pairs = 0
+        for k in range(1, MAX_K + 1):
+            for m in range(k + 1, MAX_M + 1):
+                cap = parity_weight_cap(k, m)
+                below = sum(math.comb(m, j) for j in range(cap))
+                assert below < (1 << k) <= below + math.comb(m, cap), (k, m)
+                assert cap <= k and cap < m, (k, m)
+                pairs += 1
+        assert pairs == 590
+
+
+class TestCodeSpec:
+    @pytest.mark.parametrize(
+        "k,m,message",
+        [
+            (3, 3, "m must satisfy k < m <= 40, got m=3 for k=3"),
+            (0, 4, "k must be in [1, 20], got 0"),
+            (21, 30, "k must be in [1, 20], got 21"),
+        ],
+    )
+    def test_inconsistent_spec_rejected(self, k, m, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CodeSpec(k, m)
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(ValueError, match="k and m must be integers"):
+            CodeSpec(4.0, 5)
+
+    def test_derived_fields(self):
+        spec = CodeSpec(4, 5)
+        assert (spec.n, spec.size, spec.max_parity_weight) == (10, 16, 2)
+        assert spec.rate == Fraction(2, 5)
+
 
 class TestBuildCodebook:
     def test_reference_codebook_exact(self):
@@ -143,7 +181,7 @@ class TestBuildCodebook:
     @pytest.mark.parametrize("k,m", SPECS)
     def test_message_section_is_message_matrix(self, k, m):
         book = build_codebook(k, m)
-        assert (book.message_bits == message_matrix(k)).all()
+        assert (book.codewords[:, :k] == message_matrix(k)).all()
 
     @pytest.mark.parametrize("k,m", SPECS)
     def test_codewords_distinct(self, k, m):
@@ -154,13 +192,13 @@ class TestBuildCodebook:
     @pytest.mark.parametrize("k,m", SPECS)
     def test_extra_bit_tracks_weight_parity(self, k, m):
         book = build_codebook(k, m)
-        weights = book.parity_bodies.sum(axis=1)
-        assert (book.weight_parity_bits == (1 - weights % 2)).all()
+        weights = book.codewords[:, k : k + m].sum(axis=1)
+        assert (book.codewords[:, -1] == (1 - weights % 2)).all()
 
     @pytest.mark.parametrize("k,m", SPECS)
     def test_parity_weights_never_exceed_cap(self, k, m):
         book = build_codebook(k, m)
-        assert int(book.parity_bodies.sum(axis=1).max()) == book.spec.max_parity_weight
+        assert int(book.codewords[:, k : k + m].sum(axis=1).max()) == book.spec.max_parity_weight
 
     def test_rejects_m_not_above_k(self):
         with pytest.raises(ValueError):
@@ -173,14 +211,14 @@ class TestMinDistance:
     @pytest.mark.parametrize("k,m", SPECS)
     def test_distance_three_everywhere(self, k, m):
         book = build_codebook(k, m)
-        assert verify_min_distance(book) == 3
+        assert verify_min_distance(book.codewords) == 3
 
     def test_matches_pairwise_oracle_small(self):
         book = build_codebook(3, 4)
         oracle = min(
             int((a != b).sum()) for a, b in combinations(book.codewords, 2)
         )
-        assert verify_min_distance(book) == oracle
+        assert verify_min_distance(book.codewords) == oracle
 
     def test_single_codeword_sentinel(self):
         assert verify_min_distance(np.array([[0, 1, 0]])) == math.inf
@@ -272,7 +310,7 @@ class TestRateDesign:
 
     def test_candidates_achieve_exact_rate(self):
         for k, m, _ in design_for_rate(Fraction(1, 5), 7):
-            assert CodeSpec.for_params(k, m).rate == Fraction(1, 5)
+            assert CodeSpec(k, m).rate == Fraction(1, 5)
 
     def test_infeasible_rate_gives_empty_list(self):
         # 19k/9 is integral only for multiples of 9, all beyond k_max here

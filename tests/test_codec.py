@@ -61,12 +61,12 @@ class TestSwapSchedule:
         n = 2 * k + 2  # shortest codeword for this k
         assert all(1 <= i <= n for i in flat)
         # the permutation is an involution that moves exactly these positions
-        perm = swap_permutation(CodeSpec.for_params(k, k + 1))
+        perm = swap_permutation(CodeSpec(k, k + 1))
         assert (perm[perm] == np.arange(n)).all()
         assert (np.flatnonzero(perm != np.arange(n)) + 1).tolist() == sorted(flat)
 
     def test_schedule_for_spec(self):
-        spec = CodeSpec.for_params(4, 5)
+        spec = CodeSpec(4, 5)
         assert swap_pairs(spec.k) == ((3, 5),)
         perm = swap_permutation(spec)
         assert (perm[perm] == np.arange(10)).all()
@@ -74,28 +74,28 @@ class TestSwapSchedule:
 
 class TestPostEncode:
     def test_reference_swap(self):
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         assert bits_to_str(swapped("01100010", spec)) == "01010010"
 
     def test_all_zero_unchanged(self):
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         assert bits_to_str(swapped("00000000", spec)) == "00000000"
 
     def test_k4_swaps_positions_3_and_5_only(self):
-        spec = CodeSpec.for_params(4, 5)
+        spec = CodeSpec(4, 5)
         assert bits_to_str(swapped("1110000000", spec)) == "1100100000"
 
     def test_pre_decode_reference(self):
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         assert bits_to_str(swapped("01010010", spec)) == "01100010"
 
     def test_all_ones_unchanged(self):
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         assert bits_to_str(swapped("11111111", spec)) == "11111111"
 
     @pytest.mark.parametrize("k,m", ROUNDTRIP_SPECS)
     def test_involution_and_weight_preserving(self, k, m):
-        spec = CodeSpec.for_params(k, m)
+        spec = CodeSpec(k, m)
         rng = np.random.default_rng(7 * k + m)
         for _ in range(20):
             w = rng.integers(0, 2, size=spec.n, dtype=np.uint8)
@@ -104,7 +104,7 @@ class TestPostEncode:
 
     def test_length_mismatch_rejected(self):
         # the swap runs only inside decode, which checks the length first
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         with pytest.raises(ValueError):
             decode("0101", spec)
 
@@ -140,54 +140,54 @@ class TestRankUnrank:
 
 class TestEncode:
     def test_reference_rows(self):
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         assert bits_to_str(encode("111", spec, post_encoding=False)) == "11100001"
         assert bits_to_str(encode("011", spec, post_encoding=False)) == "01100010"
         assert bits_to_str(encode("000", spec, post_encoding=False)) == "00010011"
 
     def test_transmitted_is_post_encoded(self):
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         raw = encode("011", spec, post_encoding=False)
         assert (encode("011", spec) == swapped(raw, spec)).all()
 
     @pytest.mark.parametrize("k,m", ROUNDTRIP_SPECS)
     def test_encode_equals_codebook_row(self, k, m):
-        spec = CodeSpec.for_params(k, m)
+        spec = CodeSpec(k, m)
         book = build_codebook(k, m)
-        for row, u in zip(book.codewords, book.message_bits):
+        for row, u in zip(book.codewords, book.codewords[:, :k]):
             assert (encode(u, spec, post_encoding=False) == row).all()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            encode("0110", CodeSpec.for_params(3, 4))
+            encode("0110", CodeSpec(3, 4))
 
 
 class TestDecode:
     def test_no_error(self):
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         assert bits_to_str(decode("01010010", spec)) == "011"
 
     def test_message_bit_error_corrected(self):
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         tx = encode("011", spec)
         tx[0] ^= 1
         assert bits_to_str(decode(tx, spec)) == "011"
 
     def test_parity_bit_error_passes_message_through(self):
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         raw = encode("011", spec, post_encoding=False)
         raw[3] ^= 1  # first parity-body position
         assert bits_to_str(decode(swapped(raw, spec), spec)) == "011"
 
     @pytest.mark.parametrize("k,m", ROUNDTRIP_SPECS)
     def test_round_trip_all_messages(self, k, m):
-        spec = CodeSpec.for_params(k, m)
+        spec = CodeSpec(k, m)
         for u in all_messages(k):
             assert (decode(encode(u, spec), spec) == u).all()
 
     @pytest.mark.parametrize("k,m", [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
     def test_every_single_flip_corrected(self, k, m):
-        spec = CodeSpec.for_params(k, m)
+        spec = CodeSpec(k, m)
         for u in all_messages(k):
             tx = encode(u, spec)
             for pos in range(spec.n):
@@ -198,20 +198,20 @@ class TestDecode:
     def test_out_of_codebook_row_falls_back_to_message(self):
         # weight-2 body beyond the truncated stack: rank 6 of six rows maps to
         # row index 5 + 6 = 11 > 8, a two-error situation
-        spec = CodeSpec.for_params(3, 4)
+        spec = CodeSpec(3, 4)
         raw = parse_bits("10100111")  # body 0011 (last weight-2 row), extra 1
         assert bits_to_str(decode(swapped(raw, spec), spec)) == "101"
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            decode("010100", CodeSpec.for_params(3, 4))
+            decode("010100", CodeSpec(3, 4))
 
 
 class TestBatchCodec:
     @pytest.mark.parametrize("k,m", [(2, 3), (3, 4), (4, 5), (5, 6), (6, 23)])
     @pytest.mark.parametrize("post", [True, False])
     def test_matches_scalar_paths(self, k, m, post):
-        spec = CodeSpec.for_params(k, m)
+        spec = CodeSpec(k, m)
         book = build_codebook(k, m)
         codec = BatchCodec(book, post_encoding=post)
         msgs = np.array(all_messages(k), dtype=np.uint8)
@@ -232,7 +232,7 @@ class TestBatchCodec:
             assert (codec.decode(hit) == msgs).all()
 
     def test_batch_decode_matches_scalar_on_random_words(self):
-        spec = CodeSpec.for_params(4, 5)
+        spec = CodeSpec(4, 5)
         codec = BatchCodec(build_codebook(4, 5))
         rng = np.random.default_rng(23)
         words = rng.integers(0, 2, size=(400, spec.n), dtype=np.uint8)
@@ -256,7 +256,7 @@ def code_and_messages(draw):
     k, m = draw(code_params())
     values = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=20))
     msgs = np.array([[(v >> (k - 1 - j)) & 1 for j in range(k)] for v in values], dtype=np.uint8)
-    return CodeSpec.for_params(k, m), msgs
+    return CodeSpec(k, m), msgs
 
 
 class TestCodecProperties:
@@ -299,4 +299,4 @@ class TestCodecProperties:
         k, m = km
         book = build_codebook(k, m)
         classes = [_enumerated_class(m, i) for i in range(book.spec.max_parity_weight + 1)]
-        assert (book.parity_bodies == np.vstack(classes)[: 1 << k]).all()
+        assert (book.codewords[:, k : k + m] == np.vstack(classes)[: 1 << k]).all()

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import isiecc
@@ -42,3 +43,40 @@ def test_no_orphaned_imports():
     for path in sorted(SRC.glob("*.py")):
         if path.name != "__init__.py":
             assert unused_imports(path.read_text()) == [], path.name
+
+
+def imported_modules(source: str) -> list[tuple[int, str]]:
+    """(relative level, module) of every import in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.level, node.module or ""))
+    return found
+
+
+def test_imports_are_stdlib_numpy_or_siblings():
+    # pyproject.toml declares numpy only, so nothing else may be imported
+    siblings = {path.stem for path in SRC.glob("*.py")}
+    for path in sorted(SRC.glob("*.py")):
+        for level, module in imported_modules(path.read_text()):
+            top = module.split(".")[0]
+            if level:
+                assert level == 1 and (top in siblings or not module), (path.name, module)
+            else:
+                assert top in sys.stdlib_module_names or top == "numpy", (path.name, module)
+
+
+def test_channel_imports_no_package_module():
+    # the channel model stands below the code modules; swap_gain lives in codec
+    levels = [level for level, _ in imported_modules((SRC / "channel.py").read_text())]
+    assert not any(levels)
+
+
+def test_import_graph_detects_a_foreign_import():
+    assert imported_modules("import scipy.special\nfrom . import x\nfrom .codec import y\n") == [
+        (0, "scipy.special"),
+        (1, ""),
+        (1, "codec"),
+    ]
