@@ -337,8 +337,8 @@ def transmit_counts(
 
 
 def _observe(tx_bits: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
-    """Slot observations of a transmit pattern sent after L silent warm-up
-    slots, which are excluded, with Gaussian noise of variance sigma_n2."""
+    """Slot observations, with noise of variance sigma_n2, of a transmit pattern
+    sent after L excluded silent slots, which only offset the noise draws."""
     L = params.L
     counts = transmit_counts(np.concatenate([np.zeros(L, dtype=np.uint8), tx_bits]), params, rng)
     if params.sigma_n2 > 0:
@@ -352,11 +352,10 @@ def simulate_stream(
     """Per-slot bit decisions for a batch of messages sent as one contiguous
     slot stream.
 
-    Words are encoded, concatenated (so each word suffers interference from
-    its predecessors), and preceded by L silent warm-up slots that are
-    excluded; `_observe` gives the slot observations, with Gaussian noise of
-    variance sigma_n2, and `detect` thresholds them.  Identical seeds give
-    identical decisions.
+    Words are encoded and concatenated, so each word suffers interference
+    from its predecessors; the first word sees none.  `_observe` gives the
+    slot observations, with Gaussian noise of variance sigma_n2, and `detect`
+    thresholds them.  Identical seeds give identical decisions.
     """
     msgs = np.atleast_2d(np.asarray(messages, dtype=np.uint8))
     if msgs.size == 0:

@@ -169,7 +169,7 @@ def _run(args) -> int:
     else:
         report = run_ber_experiment(_experiment_config(args), args.command)
     write_report(report, args.out)
-    print(f"wrote {args.out} ({len(report.rows)} rows, {report.wall_clock_s:.1f}s)")
+    print(f"wrote {args.out} ({len(report.rows)} rows, {report.manifest['wall_clock_s']}s)")
     return 0
 
 

@@ -128,12 +128,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class TrialReport:
     kind: str
-    config: dict
     rows: tuple[dict, ...]
-    wall_clock_s: float = field(compare=False, default=0.0)
-    # pilot calibrations run and their wall time; None when no pilot runs
-    pilots: int | None = field(compare=False, default=None)
-    pilot_s: float = field(compare=False, default=0.0)
+    # manifest entries in write order, config echo first; timings are .3f text
+    manifest: dict = field(compare=False)
 
 
 # ExperimentConfig fields that only change how a BER sweep runs
@@ -155,6 +152,21 @@ def _config_echo(config: ExperimentConfig, kind: str) -> dict:
     }
 
 
+def _coders(config: ExperimentConfig) -> list[StreamCoder]:
+    """The config's coders; a code selected twice (by label) is rejected."""
+    coders = [make_coder(label, post_encoding=config.post_encoding) for label in config.codes]
+    labels = [coder.label for coder in coders]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"code {label} is selected more than once")
+    return coders
+
+
+def _blocks(trials: int, size: int) -> list[tuple[int, int]]:
+    """(block index, words) per block in order; only the last may be short."""
+    return list(enumerate(min(size, trials - start) for start in range(0, trials, size)))
+
+
 def _map(workers: int, fn, jobs) -> list:
     """fn over jobs, results in job order: inline on the calling thread for
     one worker (no pool thread, so no extra malloc arena), else on a pool of
@@ -173,20 +185,13 @@ def _isi_mc_profile(coder, params: ChannelParams, trials: int, seed) -> np.ndarr
     """Monte Carlo per-position mean interference (molecules) in a stream."""
     n = coder.block_len
     sums = np.zeros(n, dtype=np.float64)
-    done = 0
-    block = max(1, DEFAULT_BLOCK_SIZE // max(1, n // 8))
-    b = 0
-    while done < trials:
-        nb = min(block, trials - done)
+    for b, nb in _blocks(trials, max(1, DEFAULT_BLOCK_SIZE // max(1, n // 8))):
         rng_msg = np.random.default_rng([seed, 3, b])
-        rng_ch = np.random.default_rng([seed, 4, b])
         msgs = rng_msg.integers(0, 2, size=(nb, coder.message_len), dtype=np.uint8)
-        words = coder.encode(msgs)
-        tx = np.concatenate([np.zeros(params.L, dtype=np.uint8), words.reshape(-1)])
+        tx = coder.encode(msgs).reshape(-1)
+        rng_ch = np.random.default_rng([seed, 4, b])
         interference = transmit_counts(tx, params, rng_ch, include_own_slot=False)
-        sums += interference[params.L :].reshape(nb, n).sum(axis=0)
-        done += nb
-        b += 1
+        sums += interference.reshape(nb, n).sum(axis=0)
     return sums / trials
 
 
@@ -201,7 +206,7 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
     t0 = time.monotonic()
     params = config.channel
     profile = slot_probs(params)
-    coders = [make_coder(label, post_encoding=config.post_encoding) for label in config.codes]
+    coders = _coders(config)
     for coder in coders:
         if coder.block_len > params.L:
             raise ValueError(
@@ -223,12 +228,8 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
                     "expected_isi_mc": float(mc[pos - 1]),
                 }
             )
-    return TrialReport(
-        kind="isi",
-        config=_config_echo(config, "isi"),
-        rows=tuple(rows),
-        wall_clock_s=time.monotonic() - t0,
-    )
+    manifest = {**_config_echo(config, "isi"), "wall_clock_s": f"{time.monotonic() - t0:.3f}"}
+    return TrialReport("isi", tuple(rows), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +241,7 @@ def _ber_block(coder, params, theta, seed, point_idx, block_idx, nb):
     msgs = rng_msg.integers(0, 2, size=(nb, coder.message_len), dtype=np.uint8)
     decisions = simulate_stream(msgs, coder, params, [seed, point_idx, 2, block_idx], theta)
     decoded = coder.decode(decisions.reshape(nb, coder.block_len))
-    return int((decoded != msgs).sum()), msgs.size
+    return int((decoded != msgs).sum())
 
 
 def ber_point(
@@ -260,17 +261,12 @@ def ber_point(
     the same pilot run_ber_experiment shares across codes."""
     if threshold is None:
         threshold = calibrate_threshold(params, pilot_slots, [seed, point_idx, 0])
-    sizes = [
-        min(block_size, trials - start) for start in range(0, trials, block_size)
-    ]
-    results = _map(
+    errors = _map(
         workers,
         lambda job: _ber_block(coder, params, threshold, seed, point_idx, *job),
-        list(enumerate(sizes)),
+        _blocks(trials, block_size),
     )
-    errors = sum(r[0] for r in results)
-    bits = sum(r[1] for r in results)
-    return errors, bits, threshold
+    return sum(errors), trials * coder.message_len, threshold
 
 
 # BER experiment kind -> (swept CSV column, the channel at one sweep value)
@@ -285,10 +281,10 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
     1-bit with noise held fixed ("ber-m"), or noise variance with M held
     fixed ("ber-noise")."""
     t0 = time.monotonic()
-    at_value = BER_SWEEPS[kind][1]
+    swept, at_value = BER_SWEEPS[kind]
     if not config.sweep:
         raise ValueError(f"{kind} needs a non-empty sweep")
-    coders = [make_coder(label, post_encoding=config.post_encoding) for label in config.codes]
+    coders = _coders(config)
     points = [at_value(config.channel, value) for value in config.sweep]
     # one pilot per sweep point, seeded by the point only, so every code at
     # a given point is detected with the same threshold
@@ -326,14 +322,15 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
                     "threshold": theta,
                 }
             )
-    return TrialReport(
-        kind=kind,
-        config=_config_echo(config, kind),
-        rows=tuple(rows),
-        wall_clock_s=time.monotonic() - t0,
-        pilots=len(thetas),
-        pilot_s=pilot_s,
-    )
+    manifest = {
+        **_config_echo(config, kind),
+        # one threshold per sweep point, shared by every code
+        **{f"threshold[{swept}={_fmt(getattr(pt, swept))}]": th for pt, th in zip(points, thetas)},
+        "wall_clock_s": f"{time.monotonic() - t0:.3f}",
+        "pilots": len(thetas),
+        "pilot_s": f"{pilot_s:.3f}",
+    }
+    return TrialReport(kind, tuple(rows), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +352,7 @@ def report_csv_text(report: TrialReport) -> str:
 
 
 def manifest_text(report: TrialReport) -> str:
-    lines = [f"{key} = {_fmt(value)}" for key, value in report.config.items()]
-    if report.kind in BER_SWEEPS:  # one threshold per sweep point, shared by every code
-        swept = BER_SWEEPS[report.kind][0]
-        thresholds = {f"{swept}={_fmt(row[swept])}": row["threshold"] for row in report.rows}
-        lines += [f"threshold[{key}] = {_fmt(theta)}" for key, theta in thresholds.items()]
-    lines.append(f"wall_clock_s = {report.wall_clock_s:.3f}")
-    if report.pilots is not None:
-        lines.append(f"pilots = {report.pilots}")
-        lines.append(f"pilot_s = {report.pilot_s:.3f}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in report.manifest.items())
 
 
 def write_report(report: TrialReport, out_csv) -> None:

@@ -312,6 +312,21 @@ class TestTransport:
         assert interf[0] == 0.0
         assert (full[1:] == interf[1:]).all()
 
+    @pytest.mark.parametrize("L", [1, 40])
+    @pytest.mark.parametrize("include_own_slot", [True, False])
+    def test_silent_prefix_only_shifts_counts(self, params_03, L, include_own_slot):
+        # zeros emit nothing and no draw depends on where a slot sits, so L
+        # leading zeros shift the counts draw for draw; more emissions than
+        # one chunk, so the carried cells cross a chunk boundary too
+        params = replace(params_03, L=L)
+        tx = np.random.default_rng(4).integers(0, 2, size=3 * TRANSPORT_CHUNK, dtype=np.uint8)
+        assert tx.sum() > TRANSPORT_CHUNK
+        padded = np.concatenate([np.zeros(L, dtype=np.uint8), tx])
+        plain = transmit_counts(tx, params, np.random.default_rng(8), include_own_slot)
+        shifted = transmit_counts(padded, params, np.random.default_rng(8), include_own_slot)
+        assert (shifted[:L] == 0).all()
+        assert (shifted[L:] == plain).all()
+
     def test_stream_deterministic_for_seed(self, params_03):
         msgs = np.random.default_rng(0).integers(0, 2, size=(300, 1), dtype=np.uint8)
         a = _observe(msgs.ravel(), params_03, np.random.default_rng([1, 2]))

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import count_pilots
-from isiecc import channel, cli, codebook
+from isiecc import channel, cli, codebook, harness
 from isiecc.cli import _parse_sweep, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -300,6 +300,36 @@ class TestExperimentCommands:
         assert main(argv + ["--trials", "1000"]) == 2
         assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
         assert pilots == [] and tables == []
+
+    def test_code_named_twice_exits_2_before_any_pilot(self, tmp_path, capsys, monkeypatch):
+        pilots = count_pilots(monkeypatch)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ber.csv"
+        argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--code", "uncoded"]
+        assert main(argv + ["--sweep", "300:300:1", "--out", str(out), "--trials", "1000"]) == 2
+        assert "code uncoded is selected more than once" in capsys.readouterr().err
+        assert pilots == []
+        assert not out.exists()
+
+    def test_code_spelled_twice_exits_2_before_any_isi_block(self, tmp_path, capsys, monkeypatch):
+        blocks, tables = [], []
+        monkeypatch.setattr(harness, "_isi_mc_profile", lambda *args: blocks.append(args))
+        monkeypatch.setattr(channel, "_transport_tables", lambda *args: tables.append(args))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "isi.csv"
+        argv = ["isi", "--config", str(cfg), "--code", "ckm:4,5", "--code", "ckm:04,05"]
+        assert main(argv + ["--out", str(out), "--trials", "300"]) == 2
+        assert "code ckm:4,5 is selected more than once" in capsys.readouterr().err
+        assert blocks == [] and tables == []
+        assert not out.exists()
+
+    def test_run_prints_rows_and_manifest_wall_time(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "isi.csv"
+        argv = ["isi", "--config", str(cfg), "--code", "rep3", "--out", str(out)]
+        assert main(argv + ["--trials", "300"]) == 0
+        wall = (tmp_path / "isi.manifest.txt").read_text().split("wall_clock_s = ")[1].split()[0]
+        assert capsys.readouterr().out == f"wrote {out} (3 rows, {wall}s)\n"
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, source):

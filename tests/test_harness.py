@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,22 @@ class TestCoders:
         swapped = make_coder("ckm:4,5", post_encoding=True)
         msgs = np.array([[1, 1, 1, 1]], dtype=np.uint8)
         assert not (raw.encode(msgs) == swapped.encode(msgs)).all()
+
+
+class TestBlockPlan:
+    @pytest.mark.parametrize(
+        "trials, size", [(1, 1), (7, 3), (9, 3), (2_000, 500), (25_001, 25_000)]
+    )
+    def test_blocks_cover_trials_in_order(self, trials, size):
+        blocks = harness._blocks(trials, size)
+        assert [b for b, _ in blocks] == list(range(len(blocks)))
+        words = [nb for _, nb in blocks]
+        assert sum(words) == trials
+        assert all(nb == size for nb in words[:-1])
+        assert 1 <= words[-1] <= size
+
+    def test_fewer_trials_than_block_size_is_one_block(self):
+        assert harness._blocks(3, 25_000) == [(0, 3)]
 
 
 def small_config(params, **overrides):
@@ -331,6 +348,14 @@ class TestReportOutput:
         text = manifest_text(run_ber_experiment(config, "ber-m"))
         assert "pilots = 2\n" in text
         assert "pilot_s = " in text
+
+    def test_reports_compare_by_rows_not_manifest(self, params_03):
+        config = small_config(params_03, codes=("uncoded",), trials=300, sweep=())
+        report = run_isi_experiment(config)
+        assert report == replace(report, manifest={})
+        assert manifest_text(replace(report, manifest={"a": 1.5, "b": "0.250"})) == (
+            "a = 1.5\nb = 0.250\n"
+        )
 
     def test_isi_csv_header(self, params_03, tmp_path):
         config = small_config(params_03, codes=("uncoded",), trials=300, sweep=())
