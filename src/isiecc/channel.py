@@ -76,12 +76,6 @@ class ChannelParams:
         if self.M > MAX_MOLECULES:
             raise ValueError(f"M = {self.M} exceeds the cap of {MAX_MOLECULES} molecules")
 
-    def with_molecules(self, M: int) -> "ChannelParams":
-        return replace(self, M=M)
-
-    def with_noise(self, sigma_n2: float) -> "ChannelParams":
-        return replace(self, sigma_n2=float(sigma_n2))
-
 
 def load_channel_config(path) -> tuple[ChannelParams, int]:
     """Read `key = value` lines; all keys required, nothing defaulted."""
@@ -246,16 +240,16 @@ class GuideTable:
 
 
 @lru_cache(maxsize=16)
-def _transport_tables(D: float, r: float, r0: float, ts: float, L: int, M: int):
-    """(emission, lags) guide tables for one channel point, built at its
-    first transport call.  `emission` is over one emission's own-slot count
-    X_1 and tail count T, packed as X_1 | T << M.bit_length(), with P(x, t)
-    = Bin(M, p_1)(x) Bin(M - x, q)(t), q = P_tail / (1 - p_1) and T = 0 at
-    L = 1; `lags` is over a tail molecule's slot offsets 1..L-1, None at
-    L = 1.  Only outcomes above 2^-100 are enumerated, ~60 per molecule at
-    L = 40, ts = 0.3 s: by Hoeffding's bound, a Bin(n, q) pmf above 2^-100 /
-    P(x) lies within sqrt(n (101 ln 2 + ln P(x)) / 2) of n q."""
-    p = slot_probs(ChannelParams(D=D, r=r, r0=r0, ts=ts, L=L, M=M, sigma_n2=0.0))
+def _transport_tables(point: ChannelParams):
+    """(emission, lags) guide tables for one noise-free channel point, built
+    at its first transport call.  `emission` is over one emission's own-slot
+    count X_1 and tail count T, packed as X_1 | T << M.bit_length(), with
+    P(x, t) = Bin(M, p_1)(x) Bin(M - x, q)(t), q = P_tail / (1 - p_1) and
+    T = 0 at L = 1; `lags` is over a tail molecule's slot offsets 1..L-1,
+    None at L = 1.  Only outcomes above 2^-100 are enumerated, ~60 per
+    molecule at L = 40, ts = 0.3 s: by Hoeffding's bound, a Bin(n, q) pmf
+    above 2^-100 / P(x) lies within sqrt(n (101 ln 2 + ln P(x)) / 2) of n q."""
+    p, L, M = slot_probs(point), point.L, point.M
     p1, q = float(p[0]), float(p[1:].sum() / (1.0 - p[0]))
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(M + 1)])
     floor = -100 * math.log(2)
@@ -309,7 +303,7 @@ def transmit_counts(
     ones = np.flatnonzero(tx_bits)
     if params.M == 0 or not ones.size:
         return counts[:S]
-    emission, lags = _transport_tables(params.D, params.r, params.r0, params.ts, L, params.M)
+    emission, lags = _transport_tables(replace(params, sigma_n2=0.0))
     fixup = np.random.PCG64(rng.bit_generator.random_raw()).random_raw
     cells = rng.bit_generator.random_raw((ones.size + 3) // 4).view(np.uint16)
     drawn = emission.sample(cells[: ones.size], fixup)

@@ -30,8 +30,6 @@ from .codebook import CodeSpec, build_codebook, export_codebook_csv
 from .codec import decode, encode
 from .harness import (
     BER_RUN_KEYS,
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_PILOT_SLOTS,
     ExperimentConfig,
     run_ber_experiment,
     run_isi_experiment,
@@ -80,9 +78,10 @@ def _add_experiment_args(sub: argparse.ArgumentParser, default_trials: int) -> N
 def _add_ber_args(sub: argparse.ArgumentParser, default_sweep: str) -> None:
     _add_experiment_args(sub, default_trials=1_000_000)
     sub.add_argument("--sweep", type=_parse_sweep, default=_parse_sweep(default_sweep))
-    sub.add_argument("--workers", type=int, default=1, help="parallel worker threads")
-    sub.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
-    sub.add_argument("--pilot-slots", type=int, default=DEFAULT_PILOT_SLOTS)
+    unset = argparse.SUPPRESS
+    sub.add_argument("--workers", type=int, default=unset, help="parallel worker threads")
+    sub.add_argument("--block-size", type=int, default=unset)
+    sub.add_argument("--pilot-slots", type=int, default=unset)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _experiment_config(args) -> ExperimentConfig:
     params, file_seed = load_channel_config(args.config)
-    # sweep and the BER run flags exist on ber-m/ber-noise only
+    # sweep and run flags exist on ber-m/ber-noise only; unset run flags not at all
     ber_run = {
         key: getattr(args, key) for key in ("sweep", *BER_RUN_KEYS) if hasattr(args, key)
     }

@@ -61,10 +61,6 @@ class CodeSpec:
     def max_parity_weight(self) -> int:
         return parity_weight_cap(self.k, self.m)
 
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.k, self.n)
-
 
 def value_bits(values, width: int) -> np.ndarray:
     """Rows of `width` bits, most significant first, one row per value.
@@ -171,20 +167,17 @@ def stack_codewords(rows, spec: CodeSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Codebook:
-    """An immutable code: 2^k codewords of length n as a read-only matrix,
-    plus the per-position count of codewords carrying a 1 there."""
+    """An immutable code: 2^k codewords of length n as a read-only matrix."""
 
     spec: CodeSpec
     codewords: np.ndarray
-    column_weights: tuple[int, ...]
 
 
 def build_codebook(k: int, m: int) -> Codebook:
     spec = CodeSpec(k, m)
     words = stack_codewords(np.arange(spec.size), spec)
     words.setflags(write=False)
-    col = tuple(int(c) for c in words.sum(axis=0, dtype=np.int64))
-    return Codebook(spec=spec, codewords=words, column_weights=col)
+    return Codebook(spec=spec, codewords=words)
 
 
 def verify_min_distance(words) -> float:
@@ -209,7 +202,7 @@ def verify_min_distance(words) -> float:
 
 def density_profile(codebook: Codebook) -> np.ndarray:
     """Average density of 1s per position, column weight over code size."""
-    return np.asarray(codebook.column_weights, dtype=np.float64) / codebook.spec.size
+    return codebook.codewords.mean(axis=0)
 
 
 def design_for_rate(epsilon, k_max: int) -> tuple[tuple[int, int, int], ...]:
@@ -222,6 +215,8 @@ def design_for_rate(epsilon, k_max: int) -> tuple[tuple[int, int, int], ...]:
     weight <= k already hold 2^k rows when m > k, and so below m.
     """
     eps = Fraction(epsilon)
+    if isinstance(epsilon, float):  # 0.2 means 1/5, not its binary value
+        eps = eps.limit_denominator()
     if not (0 < eps < Fraction(1, 2)):
         raise ValueError(f"target rate must lie strictly in (0, 1/2), got {eps}")
     if k_max < 1:

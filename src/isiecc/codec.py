@@ -52,7 +52,7 @@ def swap_gain(book: Codebook, profile, t: int) -> float:
     if t not in valid_t:
         raise ValueError(f"t must be one of {valid_t} for k={k}")
     p = np.asarray(profile, dtype=np.float64)
-    w = book.column_weights[k + t - 1]
+    w = int(book.codewords[:, k + t - 1].sum())
     return -(2 ** (k - 1) - w) * float(p[k // 2 + 1])
 
 
@@ -109,7 +109,6 @@ class BatchCodec:
     def __init__(self, codebook: Codebook, post_encoding: bool = True):
         spec = codebook.spec
         self.spec = spec
-        self.post_encoding = post_encoding
         self._perm = swap_permutation(spec) if post_encoding else np.arange(spec.n)
         self._table = codebook.codewords[:, self._perm]
 

@@ -8,10 +8,12 @@ here.  Every code, baseline or proposed, is a StreamCoder, so the
 experiments never ask which one they hold.
 
 Every run is reproducible: trials are partitioned into fixed-size blocks,
-each block draws its messages and channel randomness from a generator seeded
-by (seed, point index, role, block index), and results are reduced in block
-order.  The partitioning does not depend on the worker count, so a run
-produces identical CSV bytes at any parallelism level.
+each block draws its messages and channel randomness from generators seeded
+by (seed, point index, role, block index), or by (seed, 3, block index) and
+(seed, 4, block index) in the `isi` experiment, which has no sweep point,
+and results are reduced in block order.  The partitioning does not depend on
+the worker count, so a run produces identical CSV bytes at any parallelism
+level.
 
 BER is measured on decoded message bits.  The detection threshold is
 calibrated once per sweep point on an uncoded pilot seeded by (seed, point
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +129,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialReport:
-    kind: str
     rows: tuple[dict, ...]
     # manifest entries in write order, config echo first; timings are .3f text
     manifest: dict = field(compare=False)
@@ -185,7 +186,7 @@ def _isi_mc_profile(coder, params: ChannelParams, trials: int, seed) -> np.ndarr
     """Monte Carlo per-position mean interference (molecules) in a stream."""
     n = coder.block_len
     sums = np.zeros(n, dtype=np.float64)
-    for b, nb in _blocks(trials, max(1, DEFAULT_BLOCK_SIZE // max(1, n // 8))):
+    for b, nb in _blocks(trials, DEFAULT_BLOCK_SIZE // max(1, n // 8)):
         rng_msg = np.random.default_rng([seed, 3, b])
         msgs = rng_msg.integers(0, 2, size=(nb, coder.message_len), dtype=np.uint8)
         tx = coder.encode(msgs).reshape(-1)
@@ -229,7 +230,7 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
                 }
             )
     manifest = {**_config_echo(config, "isi"), "wall_clock_s": f"{time.monotonic() - t0:.3f}"}
-    return TrialReport("isi", tuple(rows), manifest)
+    return TrialReport(tuple(rows), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +270,8 @@ def ber_point(
     return sum(errors), trials * coder.message_len, threshold
 
 
-# BER experiment kind -> (swept CSV column, the channel at one sweep value)
-BER_SWEEPS = {
-    "ber-m": ("M", ChannelParams.with_molecules),
-    "ber-noise": ("sigma_n2", ChannelParams.with_noise),
-}
+# BER experiment kind -> the swept ChannelParams field, CSV column and threshold key
+BER_SWEEPS = {"ber-m": "M", "ber-noise": "sigma_n2"}
 
 
 def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
@@ -281,11 +279,11 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
     1-bit with noise held fixed ("ber-m"), or noise variance with M held
     fixed ("ber-noise")."""
     t0 = time.monotonic()
-    swept, at_value = BER_SWEEPS[kind]
+    swept = BER_SWEEPS[kind]
     if not config.sweep:
         raise ValueError(f"{kind} needs a non-empty sweep")
     coders = _coders(config)
-    points = [at_value(config.channel, value) for value in config.sweep]
+    points = [replace(config.channel, **{swept: value}) for value in config.sweep]
     # one pilot per sweep point, seeded by the point only, so every code at
     # a given point is detected with the same threshold
     t_pilot = time.monotonic()
@@ -295,33 +293,33 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
         range(len(points)),
     )
     pilot_s = time.monotonic() - t_pilot
+    # points outer, so every code runs on a point's transport table before
+    # later points can evict it from the cache; rows still go code by code
+    counts = {
+        (ci, pi): ber_point(
+            coder, pt, config.trials, config.seed, point_idx=pi, workers=config.workers,
+            block_size=config.block_size, threshold=thetas[pi],
+        )
+        for pi, pt in enumerate(points)
+        for ci, coder in enumerate(coders)
+    }
     rows = []
-    for coder in coders:
-        for pi, pt in enumerate(points):
-            errors, bits, theta = ber_point(
-                coder,
-                pt,
-                config.trials,
-                config.seed,
-                point_idx=pi,
-                workers=config.workers,
-                block_size=config.block_size,
-                threshold=thetas[pi],
-            )
-            rows.append(
-                {
-                    "code": coder.label,
-                    "post_encoding": coder.post_encoding_label,
-                    "ts_s": pt.ts,
-                    "L": pt.L,
-                    "M": pt.M,
-                    "sigma_n2": pt.sigma_n2,
-                    "bits_sent": bits,
-                    "bit_errors": errors,
-                    "ber": errors / bits,
-                    "threshold": theta,
-                }
-            )
+    for (ci, pi), (errors, bits, theta) in sorted(counts.items()):
+        pt = points[pi]
+        rows.append(
+            {
+                "code": coders[ci].label,
+                "post_encoding": coders[ci].post_encoding_label,
+                "ts_s": pt.ts,
+                "L": pt.L,
+                "M": pt.M,
+                "sigma_n2": pt.sigma_n2,
+                "bits_sent": bits,
+                "bit_errors": errors,
+                "ber": errors / bits,
+                "threshold": theta,
+            }
+        )
     manifest = {
         **_config_echo(config, kind),
         # one threshold per sweep point, shared by every code
@@ -330,7 +328,7 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
         "pilots": len(thetas),
         "pilot_s": f"{pilot_s:.3f}",
     }
-    return TrialReport(kind, tuple(rows), manifest)
+    return TrialReport(tuple(rows), manifest)
 
 
 # ---------------------------------------------------------------------------

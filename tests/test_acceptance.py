@@ -7,6 +7,7 @@ detector; they are asserted as stated and their measured values reported.
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -132,7 +133,7 @@ def test_criterion_06_density_and_column_weight_suite():
         # count of even-weight parity rows bounds the final column
         extra_bound = sum(math.comb(m, 2 * r) for r in range(cap // 2 + 1)) / size
         ok &= dens[-1] <= extra_bound + 1e-15
-        col = book.column_weights
+        col = book.codewords.sum(axis=0)
         ok &= all(w <= (1 << (k - 1)) for w in col[: k + m])
         ok &= all(col[t + 1] <= col[t] for t in range(k, k + m - 1))
     report(6, ok, "density equalities, bounds, and monotonicity hold for all 7 codes")
@@ -220,7 +221,7 @@ def test_criterion_09_rate_design():
 
 def test_criterion_10_transmit_swap_ber_benefit():
     trials = 4_000_000
-    params = PARAMS.with_molecules(275)
+    params = replace(PARAMS, M=275)
     results = {}
     for post in (False, True):
         coder = make_coder("ckm:4,5", post_encoding=post)
@@ -248,7 +249,7 @@ def test_criterion_11_noise_sweep_ordering():
     ok = True
     details = []
     for pi, sigma2 in enumerate((0.0, 60.0, 120.0)):
-        params = PARAMS.with_noise(sigma2)
+        params = replace(PARAMS, sigma_n2=sigma2)
         point = {}
         for label in ("ckm:4,5", "rep3", "uncoded"):
             coder = make_coder(label)

@@ -177,7 +177,7 @@ class TestStreamingIsi:
 
     def test_stream_average_is_density_scaled_tail_mass(self, profile_03):
         book = build_codebook(4, 5)
-        dens = np.asarray(book.column_weights) / book.spec.size
+        dens = book.codewords.sum(axis=0) / book.spec.size
         avg = stream_average_isi(dens, profile_03)
         per_pos = [
             streaming_expected_isi(dens, pos, profile_03) for pos in range(1, 11)
@@ -198,7 +198,7 @@ class TestSwapGain:
     def test_zero_when_column_weight_is_half(self, params_03, profile_03):
         # the first parity column of the (8,8,3) code has full weight 4
         book = build_codebook(3, 4)
-        assert book.column_weights[3] == 4
+        assert book.codewords.sum(axis=0)[3] == 4
         assert swap_gain(book, profile_03, 1) == 0.0
 
     @pytest.mark.parametrize("k,m", [(4, 5), (5, 6), (6, 7)])
@@ -261,7 +261,7 @@ class TestExpectedIsiMatchesMonteCarlo:
 class TestTransport:
     def test_no_molecules_means_silent_channel(self, params_03):
         bits = np.ones((50, 1), dtype=np.uint8)
-        silent = params_03.with_molecules(0)
+        silent = replace(params_03, M=0)
         decisions = simulate_stream(bits, make_coder("uncoded"), silent, rng_seed=5, threshold=1.0)
         counts = _observe(bits.ravel(), silent, np.random.default_rng(5))
         assert (counts == 0).all()
@@ -312,6 +312,13 @@ class TestTransport:
         assert interf[0] == 0.0
         assert (full[1:] == interf[1:]).all()
 
+    def test_transport_ignores_noise(self, params_03):
+        # noise is added after transport, so a point's tables need no sigma_n2
+        tx = np.random.default_rng(2).integers(0, 2, size=3 * TRANSPORT_CHUNK, dtype=np.uint8)
+        clean = transmit_counts(tx, replace(params_03, sigma_n2=0.0), np.random.default_rng(4))
+        noisy = transmit_counts(tx, replace(params_03, sigma_n2=50.0), np.random.default_rng(4))
+        assert clean.sum() > 0 and (clean == noisy).all()
+
     @pytest.mark.parametrize("L", [1, 40])
     @pytest.mark.parametrize("include_own_slot", [True, False])
     def test_silent_prefix_only_shifts_counts(self, params_03, L, include_own_slot):
@@ -334,7 +341,7 @@ class TestTransport:
         assert (a == b).all()
 
     def test_noise_is_added_per_slot(self, params_03):
-        params = params_03.with_molecules(0).with_noise(9.0)
+        params = replace(params_03, M=0, sigma_n2=9.0)
         counts = _observe(np.zeros(2000, dtype=np.uint8), params, np.random.default_rng(3))
         assert counts.std() == pytest.approx(3.0, rel=0.1)
 
@@ -496,7 +503,7 @@ class TestLagTable:
 
     def test_single_slot_memory_has_no_tail(self, params_03):
         p = replace(params_03, L=1)
-        emission, lags = channel._transport_tables(p.D, p.r, p.r0, p.ts, p.L, p.M)
+        emission, lags = channel._transport_tables(replace(p, sigma_n2=0.0))
         assert lags is None
         assert (emission.values >> p.M.bit_length() == 0).all()
 
@@ -576,8 +583,7 @@ def binomial_pmf(k, n: int, prob: float) -> np.ndarray:
 
 
 def emission_table(params):
-    p = params
-    return channel._transport_tables(p.D, p.r, p.r0, p.ts, p.L, p.M)[0]
+    return channel._transport_tables(replace(params, sigma_n2=0.0))[0]
 
 
 def implied_emission_law(params):
@@ -624,7 +630,7 @@ class TestEmissionTable:
         # ~ M (with a slowly growing log factor), not the (M+1)(M+2)/2
         # triangle: at most 25 % above linear growth from M = 300
         small = check_emission_law(params_03)
-        large = check_emission_law(params_03.with_molecules(2000))
+        large = check_emission_law(replace(params_03, M=2000))
         assert large <= 1.25 * (2000 / 300) * small
 
     def test_joint_draws_chi_square(self, params_03):
@@ -667,7 +673,7 @@ class TestCalibration:
 
     def test_zero_signal_rejected(self, params_03):
         with pytest.raises(ValueError):
-            calibrate_threshold(params_03.with_molecules(0), 20_000, rng_seed=1)
+            calibrate_threshold(replace(params_03, M=0), 20_000, rng_seed=1)
 
     def test_short_pilot_rejected(self, params_03):
         with pytest.raises(ValueError):
@@ -729,9 +735,9 @@ class TestChannelConfig:
 
     def test_fractional_molecule_count_rejected(self, params_03):
         with pytest.raises(ValueError, match="100.5"):
-            params_03.with_molecules(100.5)
-        assert params_03.with_molecules(101.0) == replace(params_03, M=101)
-        assert type(params_03.with_molecules(101.0).M) is int
+            replace(params_03, M=100.5)
+        assert replace(params_03, M=101.0) == replace(params_03, M=101)
+        assert type(replace(params_03, M=101.0).M) is int
 
     @pytest.mark.parametrize("field,value", [("M", 300.5), ("L", 40.5)])
     def test_non_whole_counts_rejected(self, params_03, field, value):
@@ -748,13 +754,13 @@ class TestChannelConfig:
 
     def test_molecules_above_cap_rejected(self, params_03):
         cap = channel.MAX_MOLECULES
-        assert params_03.with_molecules(cap).M == cap
+        assert replace(params_03, M=cap).M == cap
         with pytest.raises(ValueError, match=f"M = {cap + 1} exceeds the cap of {cap}"):
-            params_03.with_molecules(cap + 1)
+            replace(params_03, M=cap + 1)
 
-    def test_non_finite_noise_rejected_by_with_noise(self, params_03):
+    def test_non_finite_noise_rejected_by_replace(self, params_03):
         with pytest.raises(ValueError, match="sigma_n2 must be finite"):
-            params_03.with_noise(math.nan)
+            replace(params_03, sigma_n2=math.nan)
 
     @pytest.mark.parametrize("key,text,L,M", [("M", "3e2", 40, 300), ("L", "40.0", 40, 250)])
     def test_whole_number_spellings_load(self, tmp_path, key, text, L, M):

@@ -367,6 +367,17 @@ class TestExperimentCommands:
             "seed", "trials", "sweep", "post_encoding", *tail,
         ]
 
+    def test_unset_run_flags_take_experiment_config_defaults(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ber.csv"
+        argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--sweep", "300:300:1"]
+        argv += ["--out", str(out), "--trials", "300"]
+        args = build_parser().parse_args(argv)
+        assert not any(hasattr(args, key) for key in ("workers", "block_size", "pilot_slots"))
+        assert main(argv) == 0
+        manifest = (tmp_path / "ber.manifest.txt").read_text().splitlines()
+        assert {"workers = 1", "block_size = 25000", "pilot_slots = 200000"} <= set(manifest)
+
 
 def readme_commands() -> list[str]:
     """The isi-ecc lines of README's "Command line" block, continuations joined."""

@@ -166,7 +166,7 @@ class TestCodeSpec:
     def test_derived_fields(self):
         spec = CodeSpec(4, 5)
         assert (spec.n, spec.size, spec.max_parity_weight) == (10, 16, 2)
-        assert spec.rate == Fraction(2, 5)
+        assert Fraction(spec.k, spec.n) == Fraction(2, 5)
 
 
 class TestBuildCodebook:
@@ -228,19 +228,19 @@ class TestColumnWeights:
     @pytest.mark.parametrize("k,m", SPECS)
     def test_message_columns_exactly_half(self, k, m):
         book = build_codebook(k, m)
-        assert all(w == 1 << (k - 1) for w in book.column_weights[:k])
+        assert all(w == 1 << (k - 1) for w in book.codewords.sum(axis=0)[:k])
 
     @pytest.mark.parametrize("k,m", SPECS)
     def test_body_columns_at_most_half(self, k, m):
         # holds for message and parity-body columns; the final weight-parity
         # column can exceed half (e.g. 11/16 for k=4, m=5)
         book = build_codebook(k, m)
-        assert all(w <= 1 << (k - 1) for w in book.column_weights[: k + m])
+        assert all(w <= 1 << (k - 1) for w in book.codewords.sum(axis=0)[: k + m])
 
     @pytest.mark.parametrize("k,m", SPECS)
     def test_parity_columns_nonincreasing(self, k, m):
         book = build_codebook(k, m)
-        body = book.column_weights[k : k + m]
+        body = book.codewords.sum(axis=0)[k : k + m]
         assert all(body[j + 1] <= body[j] for j in range(len(body) - 1))
 
 
@@ -310,7 +310,20 @@ class TestRateDesign:
 
     def test_candidates_achieve_exact_rate(self):
         for k, m, _ in design_for_rate(Fraction(1, 5), 7):
-            assert CodeSpec(k, m).rate == Fraction(1, 5)
+            assert Fraction(k, CodeSpec(k, m).n) == Fraction(1, 5)
+
+    @pytest.mark.parametrize(
+        "rate,exact",
+        [
+            (0.2, Fraction(1, 5)),
+            (1 / 3, Fraction(1, 3)),
+            (2 / 9, Fraction(2, 9)),
+            (0.25, Fraction(1, 4)),
+        ],
+    )
+    def test_float_rate_reads_as_its_fraction(self, rate, exact):
+        # 0.2's binary value has a huge denominator, so read exactly it finds no k
+        assert design_for_rate(rate, 9) == design_for_rate(exact, 9) != ()
 
     def test_infeasible_rate_gives_empty_list(self):
         # 19k/9 is integral only for multiples of 9, all beyond k_max here

@@ -139,7 +139,7 @@ class TestIsiExperiment:
     def test_rows_and_analytic_column(self, params_03):
         config = small_config(params_03, codes=("ckm:4,5",), trials=3_000, sweep=())
         report = run_isi_experiment(config)
-        assert report.kind == "isi"
+        assert report.manifest["experiment"] == "isi"
         assert len(report.rows) == 10
         profile = slot_probs(params_03)
         coder = CkmStreamCode(4, 5, post_encoding=True)
@@ -158,7 +158,7 @@ class TestIsiExperiment:
 
     def test_zero_molecules_zero_isi(self, params_03):
         config = small_config(
-            params_03.with_molecules(0), codes=("ckm:4,5", "rep3"), trials=500, sweep=()
+            replace(params_03, M=0), codes=("ckm:4,5", "rep3"), trials=500, sweep=()
         )
         report = run_isi_experiment(config)
         for row in report.rows:
@@ -221,7 +221,7 @@ class TestBerExperiments:
     def test_bits_accounting_and_schema(self, params_03):
         config = small_config(params_03, codes=("ckm:4,5", "uncoded"), trials=1_000)
         report = run_ber_experiment(config, "ber-m")
-        assert report.kind == "ber-m"
+        assert report.manifest["experiment"] == "ber-m"
         assert len(report.rows) == 4  # 2 codes x 2 sweep points
         for row in report.rows:
             k = 4 if row["code"].startswith("ckm") else 1
@@ -253,7 +253,7 @@ class TestBerExperiments:
 
     def test_threshold_replay_reproduces_ber(self, params_03):
         coder = make_coder("ckm:4,5")
-        params = params_03.with_molecules(250)
+        params = replace(params_03, M=250)
         errors, bits, theta = ber_point(
             coder, params, trials=2_000, seed=5, block_size=500, pilot_slots=20_000
         )
@@ -273,6 +273,24 @@ class TestBerExperiments:
             channel._transport_tables.cache_clear()
             run_ber_experiment(small_config(params_03, sweep=sweep, trials=500), kind)
             assert channel._transport_tables.cache_info().misses == table_pairs, kind
+
+    @pytest.mark.parametrize("points,builds", [(16, 16), (17, 34)])
+    def test_long_sweep_builds_each_table_at_most_twice(self, params_03, points, builds):
+        # blocks run point by point with every code inside, so past the 16
+        # cached tables a point's table is built once for its pilot and once
+        # for all its blocks, not once per code
+        sweep = tuple(100.0 + 20 * i for i in range(points))
+        config = small_config(params_03, codes=("uncoded", "rep3"), sweep=sweep, trials=200)
+        channel._transport_tables.cache_clear()
+        run_ber_experiment(config, "ber-m")
+        assert channel._transport_tables.cache_info().misses == builds
+
+    def test_noise_sweep_tables_are_noise_free(self, params_03, monkeypatch):
+        seen, build = [], channel._transport_tables
+        monkeypatch.setattr(channel, "_transport_tables", lambda pt: seen.append(pt) or build(pt))
+        config = small_config(params_03, codes=("ckm:4,5",), sweep=(0.0, 60.0), trials=500)
+        run_ber_experiment(config, "ber-noise")
+        assert set(seen) == {replace(params_03, sigma_n2=0.0)}
 
     def test_empty_sweep_rejected(self, params_03):
         config = small_config(params_03, sweep=())
@@ -309,7 +327,7 @@ class TestBerExperiments:
             for pi, value in enumerate(config.sweep):
                 errors, bits, theta = ber_point(
                     coder,
-                    params_03.with_molecules(value),
+                    replace(params_03, M=value),
                     config.trials,
                     config.seed,
                     point_idx=pi,
