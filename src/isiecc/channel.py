@@ -340,24 +340,14 @@ def _observe(tx_bits: np.ndarray, params: ChannelParams, rng: np.random.Generato
     return counts[L:]
 
 
-def simulate_stream(
-    messages, coder, params: ChannelParams, rng_seed, threshold: float
-) -> np.ndarray:
-    """Per-slot bit decisions for a batch of messages sent as one contiguous
-    slot stream.
-
-    Words are encoded and concatenated, so each word suffers interference
-    from its predecessors; the first word sees none.  `_observe` gives the
-    slot observations, with Gaussian noise of variance sigma_n2, and `detect`
-    thresholds them.  Identical seeds give identical decisions.
-    """
-    msgs = np.atleast_2d(np.asarray(messages, dtype=np.uint8))
-    if msgs.size == 0:
-        raise ValueError("need at least one message")
-    if msgs.shape[1] != coder.message_len:
-        raise ValueError(f"messages must have {coder.message_len} bits each")
-    counts = _observe(coder.encode(msgs).reshape(-1), params, np.random.default_rng(rng_seed))
-    return detect(counts, threshold)
+def simulate_stream(tx_bits, params: ChannelParams, rng_seed, threshold: float) -> np.ndarray:
+    """Per-slot decisions, `detect` over `_observe`, for a 0/1 pattern sent as
+    one slot stream, each slot hit by interference from the slots before it.
+    Identical seeds give identical decisions."""
+    tx = np.asarray(tx_bits, dtype=np.uint8)
+    if tx.size == 0:
+        raise ValueError("need at least one transmitted slot")
+    return detect(_observe(tx, params, np.random.default_rng(rng_seed)), threshold)
 
 
 def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> float:
@@ -387,6 +377,6 @@ def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> f
 
 def detect(counts, threshold: float) -> np.ndarray:
     """Per-slot decisions: 1 where the observation reaches the threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not threshold >= 0:  # also rejects NaN
+        raise ValueError(f"threshold must be non-negative, got {threshold}")
     return (np.asarray(counts, dtype=np.float64) >= threshold).astype(np.uint8)

@@ -48,7 +48,10 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"sweep bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("need step > 0 and hi >= lo")
-    count = math.floor((hi - lo) / step + 1e-9) + 1
+    span = (hi - lo) / step + 1e-9
+    if not math.isfinite(span):
+        raise argparse.ArgumentTypeError(f"sweep point count must be finite, got {text!r}")
+    count = math.floor(span) + 1
     values = tuple(round(lo + i * step, 9) for i in range(count))
     if any(b <= a for a, b in zip(values, values[1:])):
         raise argparse.ArgumentTypeError(f"sweep step {step:g} repeats values at 9 decimals")

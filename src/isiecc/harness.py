@@ -15,12 +15,14 @@ and results are reduced in block order.  The partitioning does not depend on
 the worker count, so a run produces identical CSV bytes at any parallelism
 level.
 
-BER is measured on decoded message bits.  The detection threshold is
-calibrated once per sweep point on an uncoded pilot seeded by (seed, point
-index), before any block runs, and shared by all codes at that point
-(recorded per row in the CSV and in the manifest).  The pilots run on the
-same worker threads as the blocks; with one worker, pilots and blocks all
-run on the calling thread.
+BER is measured on decoded message bits by run_ber_experiment, whose step
+for one code at one point is ber_point.  Blocks are encoded and decoded
+here; the channel only turns transmitted bit streams into slot decisions.
+The detection threshold is calibrated once per sweep point on an uncoded
+pilot seeded by (seed, point index), before any block runs, and shared by
+all codes at that point (recorded per row in the CSV and in the manifest).
+The pilots run on the same worker threads as the blocks; with one worker,
+pilots and blocks all run on the calling thread.
 """
 
 from __future__ import annotations
@@ -240,34 +242,20 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
 def _ber_block(coder, params, theta, seed, point_idx, block_idx, nb):
     rng_msg = np.random.default_rng([seed, point_idx, 1, block_idx])
     msgs = rng_msg.integers(0, 2, size=(nb, coder.message_len), dtype=np.uint8)
-    decisions = simulate_stream(msgs, coder, params, [seed, point_idx, 2, block_idx], theta)
+    tx = coder.encode(msgs).reshape(-1)
+    decisions = simulate_stream(tx, params, [seed, point_idx, 2, block_idx], theta)
     decoded = coder.decode(decisions.reshape(nb, coder.block_len))
     return int((decoded != msgs).sum())
 
 
-def ber_point(
-    coder,
-    params: ChannelParams,
-    trials: int,
-    seed: int,
-    point_idx: int = 0,
-    workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    pilot_slots: int = DEFAULT_PILOT_SLOTS,
-    threshold: float | None = None,
-) -> tuple[int, int, float]:
-    """Bit errors, bits sent, and the threshold used for one sweep point.
+def ber_point(coder, point, point_idx, threshold, config) -> int:
+    """Bit errors of one code at one sweep point over config.trials words
+    detected at `threshold`, run in config's blocks on config's workers."""
 
-    Without a threshold, calibrates the point's pilot on (seed, point_idx, 0),
-    the same pilot run_ber_experiment shares across codes."""
-    if threshold is None:
-        threshold = calibrate_threshold(params, pilot_slots, [seed, point_idx, 0])
-    errors = _map(
-        workers,
-        lambda job: _ber_block(coder, params, threshold, seed, point_idx, *job),
-        _blocks(trials, block_size),
-    )
-    return sum(errors), trials * coder.message_len, threshold
+    def block(job):
+        return _ber_block(coder, point, threshold, config.seed, point_idx, *job)
+
+    return sum(_map(config.workers, block, _blocks(config.trials, config.block_size)))
 
 
 # BER experiment kind -> the swept ChannelParams field, CSV column and threshold key
@@ -295,17 +283,14 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
     pilot_s = time.monotonic() - t_pilot
     # points outer, so every code runs on a point's transport table before
     # later points can evict it from the cache; rows still go code by code
-    counts = {
-        (ci, pi): ber_point(
-            coder, pt, config.trials, config.seed, point_idx=pi, workers=config.workers,
-            block_size=config.block_size, threshold=thetas[pi],
-        )
+    errors = {
+        (ci, pi): ber_point(coder, pt, pi, thetas[pi], config)
         for pi, pt in enumerate(points)
         for ci, coder in enumerate(coders)
     }
     rows = []
-    for (ci, pi), (errors, bits, theta) in sorted(counts.items()):
-        pt = points[pi]
+    for (ci, pi), errs in sorted(errors.items()):
+        pt, bits = points[pi], config.trials * coders[ci].message_len
         rows.append(
             {
                 "code": coders[ci].label,
@@ -315,9 +300,9 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
                 "M": pt.M,
                 "sigma_n2": pt.sigma_n2,
                 "bits_sent": bits,
-                "bit_errors": errors,
-                "ber": errors / bits,
-                "threshold": theta,
+                "bit_errors": errs,
+                "ber": errs / bits,
+                "threshold": thetas[pi],
             }
         )
     manifest = {

@@ -7,7 +7,6 @@ detector; they are asserted as stated and their measured values reported.
 
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -35,7 +34,7 @@ from isiecc.bits import bits_to_str, parse_bits
 from isiecc.channel import transmit_counts
 from isiecc.codebook import unrank_stack
 from isiecc.codec import swap_pairs, swap_permutation
-from isiecc.harness import ber_point, make_coder, report_csv_text, run_ber_experiment
+from isiecc.harness import report_csv_text, run_ber_experiment
 from isiecc.harness import ExperimentConfig
 
 PARAMS = ChannelParams(D=79.4, r=5.0, r0=10.0, ts=0.3, L=40, M=300, sigma_n2=0.0)
@@ -220,15 +219,14 @@ def test_criterion_09_rate_design():
 
 
 def test_criterion_10_transmit_swap_ber_benefit():
-    trials = 4_000_000
-    params = replace(PARAMS, M=275)
     results = {}
     for post in (False, True):
-        coder = make_coder("ckm:4,5", post_encoding=post)
-        errors, bits, theta = ber_point(
-            coder, params, trials=trials, seed=424242, point_idx=0, workers=4
+        config = ExperimentConfig(
+            codes=("ckm:4,5",), channel=PARAMS, seed=424242, trials=4_000_000,
+            sweep=(275.0,), post_encoding=post, workers=4,
         )
-        results[post] = (errors / bits, errors, bits, theta)
+        row = run_ber_experiment(config, "ber-m").rows[0]
+        results[post] = (row["ber"], row["bit_errors"], row["bits_sent"], row["threshold"])
     ber_raw, err_raw, bits_raw, theta = results[False]
     ber_post, err_post, _, _ = results[True]
     ratio = ber_raw / ber_post if ber_post > 0 else math.inf
@@ -245,19 +243,20 @@ def test_criterion_10_transmit_swap_ber_benefit():
 
 
 def test_criterion_11_noise_sweep_ordering():
-    trials = 1_000_000
+    config = ExperimentConfig(
+        codes=("ckm:4,5", "rep3", "uncoded"), channel=PARAMS, seed=777, trials=1_000_000,
+        sweep=(0.0, 60.0, 120.0), workers=4,
+    )
+    rows = run_ber_experiment(config, "ber-noise").rows
     ok = True
     details = []
-    for pi, sigma2 in enumerate((0.0, 60.0, 120.0)):
-        params = replace(PARAMS, sigma_n2=sigma2)
+    for sigma2 in config.sweep:
         point = {}
-        for label in ("ckm:4,5", "rep3", "uncoded"):
-            coder = make_coder(label)
-            errors, bits, _ = ber_point(
-                coder, params, trials=trials, seed=777, point_idx=pi, workers=4
-            )
-            se = math.sqrt(max(errors, 1)) / bits
-            point[label] = (errors / bits, se)
+        for row in rows:
+            if row["sigma_n2"] == sigma2:
+                errors, bits = row["bit_errors"], row["bits_sent"]
+                se = math.sqrt(max(errors, 1)) / bits
+                point[row["code"]] = (errors / bits, se)
         ours, se_ours = point["ckm:4,5"]
         rep, se_rep = point["rep3"]
         unc, se_unc = point["uncoded"]

@@ -16,7 +16,6 @@ from isiecc import (
     expected_isi,
     hitting_prob,
     load_channel_config,
-    make_coder,
     simulate_stream,
     slot_probs,
     stream_average_isi,
@@ -260,20 +259,16 @@ class TestExpectedIsiMatchesMonteCarlo:
 
 class TestTransport:
     def test_no_molecules_means_silent_channel(self, params_03):
-        bits = np.ones((50, 1), dtype=np.uint8)
+        bits = np.ones(50, dtype=np.uint8)
         silent = replace(params_03, M=0)
-        decisions = simulate_stream(bits, make_coder("uncoded"), silent, rng_seed=5, threshold=1.0)
-        counts = _observe(bits.ravel(), silent, np.random.default_rng(5))
+        decisions = simulate_stream(bits, silent, rng_seed=5, threshold=1.0)
+        counts = _observe(bits, silent, np.random.default_rng(5))
         assert (counts == 0).all()
         assert (decisions == 0).all()
 
     def test_all_zero_stream_detects_zero(self, params_03):
         decisions = simulate_stream(
-            np.zeros((100, 1), dtype=np.uint8),
-            make_coder("uncoded"),
-            params_03,
-            rng_seed=5,
-            threshold=0.5,
+            np.zeros(100, dtype=np.uint8), params_03, rng_seed=5, threshold=0.5
         )
         assert (decisions == 0).all()
 
@@ -345,11 +340,9 @@ class TestTransport:
         counts = _observe(np.zeros(2000, dtype=np.uint8), params, np.random.default_rng(3))
         assert counts.std() == pytest.approx(3.0, rel=0.1)
 
-    def test_empty_message_list_rejected(self, params_03):
+    def test_empty_stream_rejected(self, params_03):
         with pytest.raises(ValueError):
-            simulate_stream(
-                np.zeros((0, 1), dtype=np.uint8), make_coder("uncoded"), params_03, 1, 1.0
-            )
+            simulate_stream(np.zeros(0, dtype=np.uint8), params_03, 1, 1.0)
 
     def test_stream_slot_count_moments(self, params_03):
         # an uncoded i.i.d. stream with P(1) = 1/2: each slot sums one term
@@ -667,9 +660,9 @@ class TestCalibration:
         # with negligible interference the chosen threshold separates a fresh
         # pilot nearly perfectly
         rng = np.random.default_rng(123)
-        bits = rng.integers(0, 2, size=(30_000, 1), dtype=np.uint8)
-        decisions = simulate_stream(bits, make_coder("uncoded"), params, 9, threshold=theta)
-        assert (decisions != bits.ravel()).mean() < 1e-3
+        bits = rng.integers(0, 2, size=30_000, dtype=np.uint8)
+        decisions = simulate_stream(bits, params, 9, threshold=theta)
+        assert (decisions != bits).mean() < 1e-3
 
     def test_zero_signal_rejected(self, params_03):
         with pytest.raises(ValueError):
@@ -693,8 +686,9 @@ class TestDetect:
         assert detect([peak + 5 * 10, 0.1 * peak], theta).tolist() == [1, 0]
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            detect([1.0], -0.5)
+        for threshold in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                detect([1.0], threshold)
 
 
 CONFIG_TEXT = (

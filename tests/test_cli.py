@@ -126,7 +126,12 @@ class TestSweepParsing:
         assert "step 1e-10" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["0:inf:1", "-inf:0:1", "0:10:inf", "nan:10:1", "0:nan:1"])
+    @pytest.mark.parametrize(
+        "text",
+        # the last two have finite bounds but overflow the point count
+        ["0:inf:1", "-inf:0:1", "0:10:inf", "nan:10:1", "0:nan:1"]
+        + ["0:1e300:1e-300", "0:1e308:1e-10"],
+    )
     def test_non_finite_sweep_exits_2(self, tmp_path, capsys, text):
         with pytest.raises(argparse.ArgumentTypeError, match="must be finite"):
             _parse_sweep(text)

@@ -9,6 +9,7 @@ import pytest
 from conftest import count_pilots
 from isiecc import (
     ExperimentConfig,
+    calibrate_threshold,
     expected_isi,
     make_coder,
     run_ber_experiment,
@@ -252,15 +253,11 @@ class TestBerExperiments:
         )
 
     def test_threshold_replay_reproduces_ber(self, params_03):
-        coder = make_coder("ckm:4,5")
-        params = replace(params_03, M=250)
-        errors, bits, theta = ber_point(
-            coder, params, trials=2_000, seed=5, block_size=500, pilot_slots=20_000
-        )
-        replay_errors, replay_bits, replay_theta = ber_point(
-            coder, params, trials=2_000, seed=5, block_size=500, threshold=theta
-        )
-        assert (errors, bits, theta) == (replay_errors, replay_bits, replay_theta)
+        config = small_config(params_03, codes=("ckm:4,5",), seed=5, sweep=(250.0,))
+        row = run_ber_experiment(config, "ber-m").rows[0]
+        point = replace(params_03, M=250)
+        replayed = ber_point(make_coder("ckm:4,5"), point, 0, row["threshold"], config)
+        assert replayed == row["bit_errors"]
 
     def test_sweeps_build_each_table_once(self, params_03):
         # the transport tables do not depend on sigma_n2, so over 3 pilots
@@ -325,15 +322,10 @@ class TestBerExperiments:
         for label in config.codes:
             coder = make_coder(label)
             for pi, value in enumerate(config.sweep):
-                errors, bits, theta = ber_point(
-                    coder,
-                    replace(params_03, M=value),
-                    config.trials,
-                    config.seed,
-                    point_idx=pi,
-                    block_size=config.block_size,
-                    pilot_slots=config.pilot_slots,
-                )
+                point = replace(params_03, M=value)
+                theta = calibrate_threshold(point, config.pilot_slots, [config.seed, pi, 0])
+                errors = ber_point(coder, point, pi, theta, config)
+                bits = config.trials * coder.message_len
                 expected.append((label, value, bits, errors, theta))
         assert [
             (r["code"], r["M"], r["bits_sent"], r["bit_errors"], r["threshold"])

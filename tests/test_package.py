@@ -5,6 +5,7 @@ from pathlib import Path
 import isiecc
 
 SRC = Path(isiecc.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 PUBLIC = {
     "BatchCodec", "ChannelParams", "CodeSpec", "Codebook", "ExperimentConfig", "TrialReport",
@@ -40,9 +41,11 @@ def test_unused_imports_detected():
 
 
 def test_no_orphaned_imports():
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "__init__.py":
-            assert unused_imports(path.read_text()) == [], path.name
+    # __init__.py imports to re-export; every other module and test file,
+    # conftest.py included, imports only what it uses
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"] + [*TESTS.glob("*.py")]
+    for path in sorted(paths):
+        assert unused_imports(path.read_text()) == [], path.name
 
 
 def imported_modules(source: str) -> list[tuple[int, str]]:
@@ -72,6 +75,13 @@ def test_channel_imports_no_package_module():
     # the channel model stands below the code modules; swap_gain lives in codec
     levels = [level for level, _ in imported_modules((SRC / "channel.py").read_text())]
     assert not any(levels)
+
+
+def test_channel_calls_no_coder():
+    # the harness encodes and decodes; the channel sees only transmitted bit streams
+    tree = ast.parse((SRC / "channel.py").read_text())
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not attrs & {"encode", "decode", "message_len", "block_len"}
 
 
 def test_import_graph_detects_a_foreign_import():
