@@ -205,10 +205,10 @@ class GuideTable:
 
     The CDF's inner boundaries sit at keys = floor(CDF * 2^64), so every
     outcome spans a whole number of 2^-64 units, far finer than the float64
-    CDF.  A cell of 2^48 units inside one outcome holds its value; a cell
-    that a boundary crosses holds -1, and a fix-up word w resolves it by
-    searching cell * 2^48 + (w >> 16) in the keys.  A plain class, because a
-    dataclass would add ~1 ms to every import of this module.
+    CDF; an outcome of no unit is dropped, so the keys strictly increase.  A
+    cell of 2^48 units inside one outcome holds its value; a crossed cell
+    holds -1, and a fix-up word w resolves it by searching cell * 2^48 +
+    (w >> 16) in the keys.  A plain class: a dataclass adds ~1 ms to import.
     """
 
     __slots__ = ("guide", "keys", "values")
@@ -217,11 +217,13 @@ class GuideTable:
         cdf = np.cumsum(probs)
         # a boundary that rounds to the top of the CDF stays below 2^64
         scaled = np.minimum(np.ldexp(cdf[:-1] / cdf[-1], 64), np.nextafter(2.0**64, 0))
-        self.keys = scaled.astype(np.uint64)  # exact, truncated
+        keys = scaled.astype(np.uint64)  # exact, truncated
+        # outcome i spans key i-1 (0 for the first) to key i (2^64 for the last)
+        drawn = np.append(np.diff(keys, prepend=np.uint64(0)) > 0, True)
+        self.keys, values = keys[drawn[:-1]], np.asarray(values)[drawn]
         # the smallest signed type holding every value and the -1 marker
-        self.values = np.asarray(values).astype(np.min_scalar_type(-1 - int(np.max(values))))
-        # outcome i fills the cells from key i-1's up to key i's, and a cell
-        # that a key falls strictly inside is marked crossed
+        self.values = values.astype(np.min_scalar_type(-1 - int(np.max(values))))
+        # an outcome fills the cells inside its span; a key strictly inside a cell crosses it
         cell = (self.keys >> 48).astype(np.int64)
         self.guide = np.repeat(self.values, np.diff(cell, prepend=0, append=1 << 16))
         self.guide[cell[(self.keys & (1 << 48) - 1) > 0]] = -1
@@ -330,24 +332,32 @@ def transmit_counts(
     return counts[:S]
 
 
-def _observe(tx_bits: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
-    """Slot observations, with noise of variance sigma_n2, of a transmit pattern
-    sent after L excluded silent slots, which only offset the noise draws."""
-    L = params.L
-    counts = transmit_counts(np.concatenate([np.zeros(L, dtype=np.uint8), tx_bits]), params, rng)
-    if params.sigma_n2 > 0:
-        counts = counts + rng.normal(0.0, math.sqrt(params.sigma_n2), size=counts.size)
-    return counts[L:]
+def _observe(tx_bits: np.ndarray, points, rng: np.random.Generator):
+    """Slot observations at each of `points`, which differ only in sigma_n2, of
+    a pattern sent after L silent slots that only offset the noise: one
+    transport draw, then each noisy point's noise in one reused buffer."""
+    if len({replace(pt, sigma_n2=0.0) for pt in points}) != 1:
+        raise ValueError("observed points must differ in sigma_n2 only")
+    L = points[0].L
+    counts = transmit_counts(np.concatenate([np.zeros(L, dtype=np.uint8), tx_bits]), points[0], rng)
+    buf = None  # allocated at the first noisy point, then reused
+    for pt in points:
+        if pt.sigma_n2 > 0:
+            buf = rng.standard_normal(counts.size, out=buf)
+            buf *= math.sqrt(pt.sigma_n2)
+            buf += counts
+        yield (buf if pt.sigma_n2 > 0 else counts)[L:]
 
 
-def simulate_stream(tx_bits, params: ChannelParams, rng_seed, threshold: float) -> np.ndarray:
-    """Per-slot decisions, `detect` over `_observe`, for a 0/1 pattern sent as
-    one slot stream, each slot hit by interference from the slots before it.
-    Identical seeds give identical decisions."""
+def simulate_stream(tx_bits, points, rng_seed, thresholds) -> list[np.ndarray]:
+    """Per-slot decisions at each of `points`, `detect` at its threshold over
+    `_observe`, for a 0/1 pattern sent as one slot stream, each slot hit by
+    interference from the slots before it.  Identical seeds, same decisions."""
     tx = np.asarray(tx_bits, dtype=np.uint8)
     if tx.size == 0:
         raise ValueError("need at least one transmitted slot")
-    return detect(_observe(tx, params, np.random.default_rng(rng_seed)), threshold)
+    observed = _observe(tx, points, np.random.default_rng(rng_seed))
+    return [detect(obs, theta) for obs, theta in zip(observed, thresholds, strict=True)]
 
 
 def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> float:
@@ -366,7 +376,7 @@ def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> f
         raise ValueError("cannot calibrate with M * p_1 = 0")
     rng = np.random.default_rng(rng_seed)
     sent = rng.integers(0, 2, size=pilot_length, dtype=np.uint8)
-    counts = _observe(sent, params, rng)
+    (counts,) = _observe(sent, [params], rng)
     grid = np.linspace(0.0, 2.0 * peak, 256)
     on = np.sort(counts[sent == 1])
     off = np.sort(counts[sent == 0])
@@ -379,4 +389,4 @@ def detect(counts, threshold: float) -> np.ndarray:
     """Per-slot decisions: 1 where the observation reaches the threshold."""
     if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be non-negative, got {threshold}")
-    return (np.asarray(counts, dtype=np.float64) >= threshold).astype(np.uint8)
+    return (np.asarray(counts, dtype=np.float64) >= threshold).view(np.uint8)

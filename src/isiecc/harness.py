@@ -7,22 +7,21 @@ codes live in external references and are intentionally not reimplemented
 here.  Every code, baseline or proposed, is a StreamCoder, so the
 experiments never ask which one they hold.
 
-Every run is reproducible: trials are partitioned into fixed-size blocks,
-each block draws its messages and channel randomness from generators seeded
-by (seed, point index, role, block index), or by (seed, 3, block index) and
-(seed, 4, block index) in the `isi` experiment, which has no sweep point,
-and results are reduced in block order.  The partitioning does not depend on
-the worker count, so a run produces identical CSV bytes at any parallelism
-level.
+Every run is reproducible: trials are split into fixed-size blocks whose
+results are reduced in block order, so CSV bytes do not depend on the worker
+count.  A BER block draws its messages and channel randomness from
+generators seeded by (seed, group index, role, block index); `isi`, which
+has no sweep point, uses (seed, 3, block index) and (seed, 4, block index).
 
-BER is measured on decoded message bits by run_ber_experiment, whose step
-for one code at one point is ber_point.  Blocks are encoded and decoded
-here; the channel only turns transmitted bit streams into slot decisions.
-The detection threshold is calibrated once per sweep point on an uncoded
-pilot seeded by (seed, point index), before any block runs, and shared by
-all codes at that point (recorded per row in the CSV and in the manifest).
-The pilots run on the same worker threads as the blocks; with one worker,
-pilots and blocks all run on the calling thread.
+BER is measured on decoded message bits by run_ber_experiment; its step,
+ber_point, runs one code over one group: the sweep points sharing a
+noise-free channel.  A `ber-m` point is a group of its own (group index =
+point index); a `ber-noise` sweep is one group, whose blocks draw words and
+transport once, then each point's noise in sweep order.  Blocks are encoded
+and decoded here; the channel only turns bit streams into slot decisions.
+Each point's detection threshold comes from an uncoded pilot seeded by
+(seed, point index), run before any block on the blocks' worker threads,
+and is shared by all codes at that point (recorded in the CSV and manifest).
 """
 
 from __future__ import annotations
@@ -127,6 +126,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.workers < 1 or self.block_size < 1:
             raise ValueError("workers and block_size must be positive")
+        if len(set(self.sweep)) < len(self.sweep):
+            raise ValueError(f"sweep {self.sweep} repeats a value")
 
 
 @dataclass(frozen=True)
@@ -239,23 +240,20 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
 # BER experiments
 
 
-def _ber_block(coder, params, theta, seed, point_idx, block_idx, nb):
-    rng_msg = np.random.default_rng([seed, point_idx, 1, block_idx])
-    msgs = rng_msg.integers(0, 2, size=(nb, coder.message_len), dtype=np.uint8)
-    tx = coder.encode(msgs).reshape(-1)
-    decisions = simulate_stream(tx, params, [seed, point_idx, 2, block_idx], theta)
-    decoded = coder.decode(decisions.reshape(nb, coder.block_len))
-    return int((decoded != msgs).sum())
-
-
-def ber_point(coder, point, point_idx, threshold, config) -> int:
-    """Bit errors of one code at one sweep point over config.trials words
-    detected at `threshold`, run in config's blocks on config's workers."""
+def ber_point(coder, points, group_idx, thresholds, config) -> list[int]:
+    """Bit errors of one code at each of `points`, which share one noise-free
+    channel and so each block's words and transport, over config.trials words."""
 
     def block(job):
-        return _ber_block(coder, point, threshold, config.seed, point_idx, *job)
+        block_idx, nb = job
+        rng_msg = np.random.default_rng([config.seed, group_idx, 1, block_idx])
+        msgs = rng_msg.integers(0, 2, size=(nb, coder.message_len), dtype=np.uint8)
+        tx = coder.encode(msgs).reshape(-1)
+        decisions = simulate_stream(tx, points, [config.seed, group_idx, 2, block_idx], thresholds)
+        return [int((coder.decode(d.reshape(nb, -1)) != msgs).sum()) for d in decisions]
 
-    return sum(_map(config.workers, block, _blocks(config.trials, config.block_size)))
+    per_block = _map(config.workers, block, _blocks(config.trials, config.block_size))
+    return [sum(errors) for errors in zip(*per_block)]
 
 
 # BER experiment kind -> the swept ChannelParams field, CSV column and threshold key
@@ -281,13 +279,15 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
         range(len(points)),
     )
     pilot_s = time.monotonic() - t_pilot
-    # points outer, so every code runs on a point's transport table before
-    # later points can evict it from the cache; rows still go code by code
-    errors = {
-        (ci, pi): ber_point(coder, pt, pi, thetas[pi], config)
-        for pi, pt in enumerate(points)
-        for ci, coder in enumerate(coders)
-    }
+    # points sharing a noise-free channel (the transport tables' key) form a
+    # group; all codes run on it before a later group's table can evict it
+    keys = [replace(pt, sigma_n2=0.0) for pt in points]
+    groups = [[pi for pi, key in enumerate(keys) if key == k] for k in dict.fromkeys(keys)]
+    errors = {}
+    for gi, pis in enumerate(groups):
+        for ci, coder in enumerate(coders):
+            errs = ber_point(coder, [points[i] for i in pis], gi, [thetas[i] for i in pis], config)
+            errors.update(zip([(ci, pi) for pi in pis], errs))
     rows = []
     for (ci, pi), errs in sorted(errors.items()):
         pt, bits = points[pi], config.trials * coders[ci].message_len

@@ -261,14 +261,14 @@ class TestTransport:
     def test_no_molecules_means_silent_channel(self, params_03):
         bits = np.ones(50, dtype=np.uint8)
         silent = replace(params_03, M=0)
-        decisions = simulate_stream(bits, silent, rng_seed=5, threshold=1.0)
-        counts = _observe(bits, silent, np.random.default_rng(5))
+        (decisions,) = simulate_stream(bits, [silent], rng_seed=5, thresholds=[1.0])
+        (counts,) = _observe(bits, [silent], np.random.default_rng(5))
         assert (counts == 0).all()
         assert (decisions == 0).all()
 
     def test_all_zero_stream_detects_zero(self, params_03):
-        decisions = simulate_stream(
-            np.zeros(100, dtype=np.uint8), params_03, rng_seed=5, threshold=0.5
+        (decisions,) = simulate_stream(
+            np.zeros(100, dtype=np.uint8), [params_03], rng_seed=5, thresholds=[0.5]
         )
         assert (decisions == 0).all()
 
@@ -331,18 +331,33 @@ class TestTransport:
 
     def test_stream_deterministic_for_seed(self, params_03):
         msgs = np.random.default_rng(0).integers(0, 2, size=(300, 1), dtype=np.uint8)
-        a = _observe(msgs.ravel(), params_03, np.random.default_rng([1, 2]))
-        b = _observe(msgs.ravel(), params_03, np.random.default_rng([1, 2]))
+        (a,) = _observe(msgs.ravel(), [params_03], np.random.default_rng([1, 2]))
+        (b,) = _observe(msgs.ravel(), [params_03], np.random.default_rng([1, 2]))
         assert (a == b).all()
 
     def test_noise_is_added_per_slot(self, params_03):
         params = replace(params_03, M=0, sigma_n2=9.0)
-        counts = _observe(np.zeros(2000, dtype=np.uint8), params, np.random.default_rng(3))
+        (counts,) = _observe(np.zeros(2000, dtype=np.uint8), [params], np.random.default_rng(3))
         assert counts.std() == pytest.approx(3.0, rel=0.1)
+
+    def test_noisy_points_draw_independent_noise(self, params_03):
+        # one transport draw serves both points, so their observations differ
+        # by their noise alone: independent draws give a difference of
+        # variance s1 + s2, where one draw rescaled would give (sqrt(s1) - sqrt(s2))^2
+        tx = np.random.default_rng(6).integers(0, 2, size=20_000, dtype=np.uint8)
+        points = [replace(params_03, sigma_n2=s) for s in (30.0, 120.0)]
+        first, second = (obs.copy() for obs in _observe(tx, points, np.random.default_rng(7)))
+        # the sample variance of n normals has standard error sqrt(2 / n) relative
+        assert np.var(second - first) == pytest.approx(150.0, rel=5 * math.sqrt(2 / tx.size))
+
+    def test_observed_points_share_one_channel(self, params_03):
+        points = [params_03, replace(params_03, M=params_03.M + 1)]
+        with pytest.raises(ValueError, match="sigma_n2 only"):
+            simulate_stream(np.ones(10, dtype=np.uint8), points, 1, [1.0, 1.0])
 
     def test_empty_stream_rejected(self, params_03):
         with pytest.raises(ValueError):
-            simulate_stream(np.zeros(0, dtype=np.uint8), params_03, 1, 1.0)
+            simulate_stream(np.zeros(0, dtype=np.uint8), [params_03], 1, [1.0])
 
     def test_stream_slot_count_moments(self, params_03):
         # an uncoded i.i.d. stream with P(1) = 1/2: each slot sums one term
@@ -646,6 +661,20 @@ class TestEmissionTable:
         assert stat < PAIR_CRITICAL, f"chi^2 = {stat:.1f} on {PAIR_DF} df"
 
 
+class TestGuideTable:
+    @pytest.mark.parametrize("M", [1, 300, 2000])
+    def test_keys_strictly_increase(self, params_03, M):
+        for table in channel._transport_tables(replace(params_03, M=M, sigma_n2=0.0)):
+            keys = table.keys.tolist()
+            assert all(a < b for a, b in zip([0, *keys], keys))
+            assert table.values.size == len(keys) + 1
+
+    def test_zero_width_outcomes_dropped(self):
+        table = GuideTable([0.0, 0.5, 0.0, 0.5], [1, 2, 3, 4])
+        assert table.keys.tolist() == [1 << 63]
+        assert table.values.tolist() == [2, 4]
+
+
 class TestCalibration:
     def test_deterministic_for_fixed_seed(self, params_03):
         a = calibrate_threshold(params_03, 20_000, rng_seed=42)
@@ -661,7 +690,7 @@ class TestCalibration:
         # pilot nearly perfectly
         rng = np.random.default_rng(123)
         bits = rng.integers(0, 2, size=30_000, dtype=np.uint8)
-        decisions = simulate_stream(bits, params, 9, threshold=theta)
+        (decisions,) = simulate_stream(bits, [params], 9, thresholds=[theta])
         assert (decisions != bits).mean() < 1e-3
 
     def test_zero_signal_rejected(self, params_03):

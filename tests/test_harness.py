@@ -256,7 +256,7 @@ class TestBerExperiments:
         config = small_config(params_03, codes=("ckm:4,5",), seed=5, sweep=(250.0,))
         row = run_ber_experiment(config, "ber-m").rows[0]
         point = replace(params_03, M=250)
-        replayed = ber_point(make_coder("ckm:4,5"), point, 0, row["threshold"], config)
+        (replayed,) = ber_point(make_coder("ckm:4,5"), [point], 0, [row["threshold"]], config)
         assert replayed == row["bit_errors"]
 
     def test_sweeps_build_each_table_once(self, params_03):
@@ -324,7 +324,7 @@ class TestBerExperiments:
             for pi, value in enumerate(config.sweep):
                 point = replace(params_03, M=value)
                 theta = calibrate_threshold(point, config.pilot_slots, [config.seed, pi, 0])
-                errors = ber_point(coder, point, pi, theta, config)
+                (errors,) = ber_point(coder, [point], pi, [theta], config)
                 bits = config.trials * coder.message_len
                 expected.append((label, value, bits, errors, theta))
         assert [
@@ -334,6 +334,37 @@ class TestBerExperiments:
 
         parallel = run_ber_experiment(small_config(params_03, workers=3), "ber-m")
         assert report_csv_text(parallel) == report_csv_text(report)
+
+    @pytest.mark.parametrize("kind, per_block", [("ber-noise", 1), ("ber-m", 3)])
+    def test_transport_once_per_block_for_a_noise_sweep(
+        self, params_03, monkeypatch, kind, per_block
+    ):
+        # 3 sweep points share one noise-free channel in ber-noise, so each
+        # (code, block) draws transport once for all of them; ber-m points
+        # do not, so each draws its own; every point still has its pilot
+        calls, transport = [], channel.transmit_counts
+        monkeypatch.setattr(
+            channel, "transmit_counts", lambda *a, **kw: calls.append(1) or transport(*a, **kw)
+        )
+        sweep = (0.0, 60.0, 120.0) if kind == "ber-noise" else (150.0, 200.0, 250.0)
+        config = small_config(params_03, codes=("ckm:4,5", "rep3"), sweep=sweep, trials=1_000)
+        run_ber_experiment(config, kind)
+        assert len(calls) == 3 + per_block * 2 * 2  # pilots + per_block x codes x blocks
+
+    def test_longer_noise_sweep_keeps_earlier_rows(self, params_03):
+        def rows(sweep):
+            config = small_config(params_03, codes=("ckm:4,5", "uncoded"), sweep=sweep)
+            return run_ber_experiment(config, "ber-noise").rows
+
+        short, long = rows((0.0, 60.0)), rows((0.0, 60.0, 120.0))
+        assert short == long[0:2] + long[3:5]  # rows go code by code
+
+    def test_noise_free_point_matches_ber_m_row(self, params_03):
+        # a ber-noise sweep's first point is group 0, as a one-point ber-m is
+        noise = small_config(params_03, codes=("ckm:4,5", "rep3"), sweep=(0.0, 90.0))
+        single = small_config(params_03, codes=("ckm:4,5", "rep3"), sweep=(float(params_03.M),))
+        noise_rows = run_ber_experiment(noise, "ber-noise").rows
+        assert run_ber_experiment(single, "ber-m").rows == (noise_rows[0], noise_rows[2])
 
 
 class TestReportOutput:
@@ -391,3 +422,8 @@ class TestConfigValidation:
     def test_needs_positive_trials(self, params_03):
         with pytest.raises(ValueError):
             small_config(params_03, trials=0)
+
+    def test_repeated_sweep_value_rejected(self, params_03):
+        # two points at one value would run two pilots for one manifest line
+        with pytest.raises(ValueError, match="repeats a value"):
+            small_config(params_03, sweep=(150.0, 250.0, 150.0))
