@@ -333,20 +333,18 @@ def transmit_counts(
 
 
 def _observe(tx_bits: np.ndarray, points, rng: np.random.Generator):
-    """Slot observations at each of `points`, which differ only in sigma_n2, of
-    a pattern sent after L silent slots that only offset the noise: one
-    transport draw, then each noisy point's noise in one reused buffer."""
+    """Slot observations of tx_bits at each of `points`, which differ only in
+    sigma_n2: one transport draw, then each point's noise in one reused buffer."""
     if len({replace(pt, sigma_n2=0.0) for pt in points}) != 1:
         raise ValueError("observed points must differ in sigma_n2 only")
-    L = points[0].L
-    counts = transmit_counts(np.concatenate([np.zeros(L, dtype=np.uint8), tx_bits]), points[0], rng)
+    counts = transmit_counts(tx_bits, points[0], rng)
     buf = None  # allocated at the first noisy point, then reused
     for pt in points:
         if pt.sigma_n2 > 0:
             buf = rng.standard_normal(counts.size, out=buf)
             buf *= math.sqrt(pt.sigma_n2)
             buf += counts
-        yield (buf if pt.sigma_n2 > 0 else counts)[L:]
+        yield buf if pt.sigma_n2 > 0 else counts
 
 
 def simulate_stream(tx_bits, points, rng_seed, thresholds) -> list[np.ndarray]:

@@ -7,11 +7,12 @@ codes live in external references and are intentionally not reimplemented
 here.  Every code, baseline or proposed, is a StreamCoder, so the
 experiments never ask which one they hold.
 
-Every run is reproducible: trials are split into fixed-size blocks whose
-results are reduced in block order, so CSV bytes do not depend on the worker
-count.  A BER block draws its messages and channel randomness from
-generators seeded by (seed, group index, role, block index); `isi`, which
-has no sweep point, uses (seed, 3, block index) and (seed, 4, block index).
+Every run is reproducible: _blocks, the one block rule, splits trials into
+blocks reduced in block order, so CSV bytes do not depend on the worker
+count.  Every generator is seeded by (seed, index, role, block): role 0 is
+a point's pilot (index = point, no block), 1 a block's messages and 2 its
+channel (index = group; `isi` is group 0).  SeedSequence ignores trailing
+zeros, so (seed, p, 0) is (seed, p), and no block may take role 0.
 
 BER is measured on decoded message bits by run_ber_experiment; its step,
 ber_point, runs one code over one group: the sweep points sharing a
@@ -19,9 +20,9 @@ noise-free channel.  A `ber-m` point is a group of its own (group index =
 point index); a `ber-noise` sweep is one group, whose blocks draw words and
 transport once, then each point's noise in sweep order.  Blocks are encoded
 and decoded here; the channel only turns bit streams into slot decisions.
-Each point's detection threshold comes from an uncoded pilot seeded by
-(seed, point index), run before any block on the blocks' worker threads,
-and is shared by all codes at that point (recorded in the CSV and manifest).
+Each point's detection threshold comes from an uncoded pilot, run before
+any block on the blocks' worker threads, and is shared by all codes at that
+point (recorded in the CSV and manifest).
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ def _coders(config: ExperimentConfig) -> list[StreamCoder]:
     return coders
 
 
-def _blocks(trials: int, size: int) -> list[tuple[int, int]]:
-    """(block index, words) per block in order; only the last may be short."""
-    return list(enumerate(min(size, trials - start) for start in range(0, trials, size)))
+def _blocks(trials: int, size: int, n: int) -> list[tuple[int, int]]:
+    """(block index, words) in order, only the last short: `size` up to n = 15, fewer above."""
+    words = max(1, size // max(1, n // 8))
+    return list(enumerate(min(words, trials - start) for start in range(0, trials, words)))
 
 
 def _map(workers: int, fn, jobs) -> list:
@@ -189,11 +191,11 @@ def _isi_mc_profile(coder, params: ChannelParams, trials: int, seed) -> np.ndarr
     """Monte Carlo per-position mean interference (molecules) in a stream."""
     n = coder.block_len
     sums = np.zeros(n, dtype=np.float64)
-    for b, nb in _blocks(trials, DEFAULT_BLOCK_SIZE // max(1, n // 8)):
-        rng_msg = np.random.default_rng([seed, 3, b])
+    for b, nb in _blocks(trials, DEFAULT_BLOCK_SIZE, n):
+        rng_msg = np.random.default_rng([seed, 0, 1, b])
         msgs = rng_msg.integers(0, 2, size=(nb, coder.message_len), dtype=np.uint8)
         tx = coder.encode(msgs).reshape(-1)
-        rng_ch = np.random.default_rng([seed, 4, b])
+        rng_ch = np.random.default_rng([seed, 0, 2, b])
         interference = transmit_counts(tx, params, rng_ch, include_own_slot=False)
         sums += interference.reshape(nb, n).sum(axis=0)
     return sums / trials
@@ -208,6 +210,8 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
     reported in molecules (scaled by M).
     """
     t0 = time.monotonic()
+    if config.sweep:
+        raise ValueError(f"isi runs no sweep, got {config.sweep}")
     params = config.channel
     profile = slot_probs(params)
     coders = _coders(config)
@@ -252,8 +256,8 @@ def ber_point(coder, points, group_idx, thresholds, config) -> list[int]:
         decisions = simulate_stream(tx, points, [config.seed, group_idx, 2, block_idx], thresholds)
         return [int((coder.decode(d.reshape(nb, -1)) != msgs).sum()) for d in decisions]
 
-    per_block = _map(config.workers, block, _blocks(config.trials, config.block_size))
-    return [sum(errors) for errors in zip(*per_block)]
+    jobs = _blocks(config.trials, config.block_size, coder.block_len)
+    return [sum(errors) for errors in zip(*_map(config.workers, block, jobs))]
 
 
 # BER experiment kind -> the swept ChannelParams field, CSV column and threshold key
@@ -265,6 +269,8 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
     1-bit with noise held fixed ("ber-m"), or noise variance with M held
     fixed ("ber-noise")."""
     t0 = time.monotonic()
+    if kind not in BER_SWEEPS:
+        raise ValueError(f"unknown BER kind {kind!r}; expected one of {', '.join(BER_SWEEPS)}")
     swept = BER_SWEEPS[kind]
     if not config.sweep:
         raise ValueError(f"{kind} needs a non-empty sweep")

@@ -329,6 +329,16 @@ class TestTransport:
         assert (shifted[:L] == 0).all()
         assert (shifted[L:] == plain).all()
 
+    def test_observation_sends_only_the_bits_given(self, params_03):
+        # no slot precedes the pattern: its counts, then its noise, come
+        # straight from the generator, one slot per bit
+        tx = np.random.default_rng(9).integers(0, 2, size=500, dtype=np.uint8)
+        rng = np.random.default_rng(3)
+        expected = transmit_counts(tx, params_03, rng) + 2.0 * rng.standard_normal(tx.size)
+        noisy = replace(params_03, sigma_n2=4.0)
+        (observed,) = _observe(tx, [noisy], np.random.default_rng(3))
+        assert (observed == expected).all()
+
     def test_stream_deterministic_for_seed(self, params_03):
         msgs = np.random.default_rng(0).integers(0, 2, size=(300, 1), dtype=np.uint8)
         (a,) = _observe(msgs.ravel(), [params_03], np.random.default_rng([1, 2]))

@@ -109,15 +109,31 @@ class TestBlockPlan:
         "trials, size", [(1, 1), (7, 3), (9, 3), (2_000, 500), (25_001, 25_000)]
     )
     def test_blocks_cover_trials_in_order(self, trials, size):
-        blocks = harness._blocks(trials, size)
-        assert [b for b, _ in blocks] == list(range(len(blocks)))
-        words = [nb for _, nb in blocks]
-        assert sum(words) == trials
-        assert all(nb == size for nb in words[:-1])
-        assert 1 <= words[-1] <= size
+        for n in (1, 10, 15):  # codes of up to 15 slots get `size` words
+            blocks = harness._blocks(trials, size, n)
+            assert [b for b, _ in blocks] == list(range(len(blocks)))
+            words = [nb for _, nb in blocks]
+            assert sum(words) == trials
+            assert all(nb == size for nb in words[:-1])
+            assert 1 <= words[-1] <= size
 
     def test_fewer_trials_than_block_size_is_one_block(self):
-        assert harness._blocks(3, 25_000) == [(0, 3)]
+        assert harness._blocks(3, 25_000, 10) == [(0, 3)]
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 500, 25_000])
+    def test_block_slots_are_bounded_for_every_code_length(self, size):
+        # longer codes get fewer words, so no block passes 15 * size slots,
+        # unless one word of the code alone does
+        for n in range(1, 62):
+            blocks = harness._blocks(3 * size, size, n)
+            words = [nb for _, nb in blocks]
+            assert sum(words) == 3 * size
+            assert all(nb == words[0] for nb in words[:-1])
+            assert words[0] == size if n <= 15 else 1 <= words[0] <= size
+            assert words[0] * n <= (15 * size if size >= n // 8 else n)
+
+    def test_block_size_below_the_rule_gives_one_word_blocks(self):
+        assert harness._blocks(3, 1, 47) == [(0, 1), (1, 1), (2, 1)]
 
 
 def small_config(params, **overrides):
@@ -205,6 +221,46 @@ class TestIsiExperiment:
         se = blocks.std(axis=0, ddof=1) / math.sqrt(len(blocks))
         assert (np.abs(blocks.mean(axis=0) - exact) <= 5 * se).all()
 
+    @pytest.mark.parametrize("label", ["rep3", "ckm:4,5"])
+    def test_isi_block_is_the_ber_group_zero_block(self, params_03, label, monkeypatch):
+        # one block plan and one seed layout: isi block 0 sends the words of
+        # BER group 0's block 0 through the same transport draws, so at every
+        # 0-bit slot its interference is that block's noise-free observation
+        point = replace(params_03, sigma_n2=0.0)
+        config = small_config(
+            point, codes=(label,), trials=2_000, block_size=harness.DEFAULT_BLOCK_SIZE
+        )
+        coder = make_coder(label)
+        seen = {}
+
+        def ber_stream(tx, points, rng_seed, thresholds):
+            seen["ber"] = tx, rng_seed
+            return channel.simulate_stream(tx, points, rng_seed, thresholds)
+
+        def isi_transport(tx, params, rng, include_own_slot=True):
+            seen["isi"] = tx, channel.transmit_counts(tx, params, rng, include_own_slot)
+            return seen["isi"][1]
+
+        monkeypatch.setattr(harness, "simulate_stream", ber_stream)
+        monkeypatch.setattr(harness, "transmit_counts", isi_transport)
+        ber_point(coder, [point], 0, [1.0], config)
+        harness._isi_mc_profile(coder, point, config.trials, config.seed)
+        tx, rng_seed = seen["ber"]
+        (observed,) = channel._observe(tx, [point], np.random.default_rng(rng_seed))
+        isi_tx, interference = seen["isi"]
+        assert (isi_tx == tx).all()
+        zeros = tx == 0
+        assert observed[zeros].sum() > 0
+        assert (interference[zeros] == observed[zeros]).all()
+
+    def test_sweep_rejected_before_any_block(self, params_03, monkeypatch):
+        blocks = []
+        monkeypatch.setattr(harness, "_isi_mc_profile", lambda *args: blocks.append(args))
+        config = small_config(params_03, codes=("uncoded",), sweep=(150.0, 225.0))
+        with pytest.raises(ValueError, match=r"isi runs no sweep, got \(150.0, 225.0\)"):
+            run_isi_experiment(config)
+        assert blocks == []
+
     def test_streamed_last_bit_below_repetition3(self, params_03):
         config = small_config(
             params_03, codes=("ckm:4,5", "rep3"), trials=20_000, sweep=()
@@ -258,6 +314,23 @@ class TestBerExperiments:
         point = replace(params_03, M=250)
         (replayed,) = ber_point(make_coder("ckm:4,5"), [point], 0, [row["threshold"]], config)
         assert replayed == row["bit_errors"]
+
+    def test_long_code_noise_csv_ignores_workers(self, params_03):
+        # ckm:8,16 has n = 25 slots, so a 900-word block size gives 300-word
+        # blocks: 5 of them, shared out over the workers
+        config = small_config(
+            params_03, codes=("ckm:8,16",), trials=1_500, sweep=(0.0, 60.0), block_size=900
+        )
+        assert len(harness._blocks(config.trials, config.block_size, 25)) == 5
+        one, two = (
+            report_csv_text(run_ber_experiment(replace(config, workers=w), "ber-noise"))
+            for w in (1, 2)
+        )
+        assert one == two
+
+    def test_unknown_kind_names_the_kinds(self, params_03):
+        with pytest.raises(ValueError, match="unknown BER kind 'ber-x'.*ber-m, ber-noise"):
+            run_ber_experiment(small_config(params_03), "ber-x")
 
     def test_sweeps_build_each_table_once(self, params_03):
         # the transport tables do not depend on sigma_n2, so over 3 pilots
@@ -412,6 +485,49 @@ class TestReportOutput:
         text = manifest_text(report)
         assert "D_um2_per_s = 79.4" in text
         assert "experiment = ber-m" in text
+
+
+def _stripped(key) -> tuple:
+    """A seed key as SeedSequence reads it: trailing zeros do not count."""
+    key = np.atleast_1d(key).tolist()
+    while key and key[-1] == 0:
+        key.pop()
+    return tuple(key)
+
+
+class TestSeedLayout:
+    def test_trailing_zeros_do_not_change_a_stream(self):
+        draws = {
+            tuple(np.random.default_rng(key).integers(0, 2**32, size=4).tolist())
+            for key in ([5, 0, 0], [5, 0], [5], 5)
+        }
+        assert len(draws) == 1
+
+    @pytest.mark.parametrize("kind", ["ber-m", "ber-noise", "isi"])
+    def test_no_two_streams_of_a_run_share_a_seed(self, params_03, monkeypatch, kind):
+        # every generator a run seeds, pilots and blocks alike, gets its own
+        # stream.  Each code of a run replays the same keys, so one code; 3
+        # blocks per group (25,001 uncoded isi words make 2 default blocks)
+        keys = []
+        default_rng = np.random.default_rng
+
+        def recording(seed=None):
+            keys.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        sweeps = {"ber-m": (150.0, 250.0), "ber-noise": (0.0, 60.0), "isi": ()}
+        config = small_config(
+            params_03, codes=("uncoded",), trials=1_200, block_size=500, sweep=sweeps[kind]
+        )
+        if kind == "isi":
+            run_isi_experiment(replace(config, trials=25_001))
+        else:
+            run_ber_experiment(config, kind)
+        # 2 pilots, then messages and channel per block of each group
+        assert len(keys) == {"ber-m": 2 + 2 * 3 * 2, "ber-noise": 2 + 3 * 2, "isi": 2 * 2}[kind]
+        stripped = [_stripped(key) for key in keys]
+        assert len(set(stripped)) == len(stripped), stripped
 
 
 class TestConfigValidation:
