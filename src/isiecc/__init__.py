@@ -23,10 +23,12 @@ from .channel import (
     calibrate_threshold,
     codeword_isi_bound,
     detect,
+    detection_threshold,
     expected_isi,
     hitting_prob,
     load_channel_config,
     simulate_stream,
+    slot_law,
     slot_probs,
     stream_average_isi,
     streaming_expected_isi,

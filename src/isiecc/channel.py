@@ -21,11 +21,14 @@ p_2 + ... + p_L, then each of those T molecules takes lag d with
 probability p_d / P_tail.  Both laws are drawn from guide tables over 2^16
 cells of their CDFs (Chen & Asau, AIIE Trans. 6(2), 1974).
 Receiver noise is zero-mean Gaussian added per slot, and detection
-thresholds the real-valued slot observation.
+thresholds the real-valued slot observation.  The threshold is computed, not
+sampled: the count law of one slot is a convolution of binomial pmfs, which
+slot_law evaluates exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -241,6 +244,21 @@ class GuideTable:
         return out
 
 
+# probabilities below 2^-100 are left out of every enumerated law
+LOG_FLOOR = -100 * math.log(2)
+
+
+def _binomial_log_pmf(M: int):
+    """log Bin(n, prob)(k) for n <= M, from one table of log factorials."""
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(M + 1)])
+
+    def log_pmf(n, k, prob):
+        log_p = log_fact[n] - log_fact[k] - log_fact[n - k]
+        return log_p + k * math.log(prob) + (n - k) * math.log1p(-prob)
+
+    return log_pmf
+
+
 @lru_cache(maxsize=16)
 def _transport_tables(point: ChannelParams):
     """(emission, lags) guide tables for one noise-free channel point, built
@@ -253,16 +271,10 @@ def _transport_tables(point: ChannelParams):
     above 2^-100 / P(x) lies within sqrt(n (101 ln 2 + ln P(x)) / 2) of n q."""
     p, L, M = slot_probs(point), point.L, point.M
     p1, q = float(p[0]), float(p[1:].sum() / (1.0 - p[0]))
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(M + 1)])
-    floor = -100 * math.log(2)
-
-    def log_pmf(n, k, prob):  # of Bin(n, prob) at k
-        log_p = log_fact[n] - log_fact[k] - log_fact[n - k]
-        return log_p + k * math.log(prob) + (n - k) * math.log1p(-prob)
-
+    log_pmf = _binomial_log_pmf(M)
     x = np.arange(M + 1)
     log_p = log_pmf(M, x, p1)
-    x, log_p = x[log_p > floor], log_p[log_p > floor]
+    x, log_p = x[log_p > LOG_FLOOR], log_p[log_p > LOG_FLOOR]
     t = np.zeros_like(x)
     if q > 0:
         n = M - x
@@ -272,7 +284,7 @@ def _transport_tables(point: ChannelParams):
         x, log_p = np.repeat(x, size), np.repeat(log_p, size)
         t = np.arange(x.size) - np.repeat(np.cumsum(size) - size - lo, size)
         log_p += log_pmf(M - x, t, q)
-    keep = log_p > floor
+    keep = log_p > LOG_FLOOR
     emission = GuideTable(np.exp(log_p[keep]), (x | t << M.bit_length())[keep])
     return emission, GuideTable(p[1:], np.arange(1, L)) if L > 1 else None
 
@@ -358,14 +370,59 @@ def simulate_stream(tx_bits, points, rng_seed, thresholds) -> list[np.ndarray]:
     return [detect(obs, theta) for obs, theta in zip(observed, thresholds, strict=True)]
 
 
-def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> float:
-    """Detection threshold minimizing the slot error rate of an uncoded pilot.
+def slot_law(point: ChannelParams, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Exact pmfs of one slot's noise-free count, with its own bit at 0 and at
+    1, when the bit g slots back is 1 with probability weights[g - 1], g = 1
+    .. L-1, independently: the pgf prod_d (1 - w_d + w_d (1 - p_d + p_d z)^M)
+    over lags d = 1 .. L, with w_1 = 0 or 1 and w_{g+1} = weights[g - 1].
+    Each Bin(M, p_d) is cut below 2^-100, as the transport tables are; the
+    convolutions add positive terms only, so the pmfs carry no rounding floor."""
+    p, M = slot_probs(point), point.M
+    log_pmf, counts = _binomial_log_pmf(M), np.arange(M + 1)
 
-    The pilot is a stream of i.i.d. equiprobable bits through the same
-    channel; candidate thresholds are 256 evenly spaced values spanning
-    [0, 2 M p_1] and ties resolve to the lowest one.  Deterministic for a
-    fixed seed.  The same threshold is then shared by every code under
-    comparison so that detection does not favour any of them.
+    def cut(pmf):  # drop the tail below the floor
+        return pmf[: np.flatnonzero(pmf > math.exp(LOG_FLOOR))[-1] + 1]
+
+    off = np.ones(1)
+    for p_d, w in zip(p[1:], weights, strict=True):
+        mix = w * cut(np.exp(log_pmf(M, counts, p_d)))
+        mix[0] += 1.0 - w
+        off = cut(np.convolve(off, mix))
+    on = cut(np.convolve(off, cut(np.exp(log_pmf(M, counts, p[0])))))
+    size = max(off.size, on.size)
+    return tuple(np.pad(pmf, (0, size - pmf.size)) for pmf in (off, on))
+
+
+def detection_threshold(point: ChannelParams, law) -> float:
+    """Threshold minimizing an uncoded slot's error probability, P(count +
+    noise < theta | 1) / 2 + P(count + noise >= theta | 0) / 2, over 256 evenly
+    spaced values spanning [0, 2 M p_1]; ties resolve to the lowest one.
+    `law` is slot_law(point, [1/2] * (L - 1)): i.i.d. equiprobable bits.  A
+    pure function of the point, shared by every code under comparison so that
+    detection does not favour any of them."""
+    peak = point.M * float(slot_probs(point)[0])
+    if peak <= 0:
+        raise ValueError("cannot calibrate with M * p_1 = 0")
+    off, on = law
+    grid = np.linspace(0.0, 2.0 * peak, 256)
+    gap = grid[:, None] - np.arange(on.size)  # theta - count
+    if point.sigma_n2 > 0:  # P(noise >= |gap|), each tail straight from erfc
+        z = np.abs(gap) / math.sqrt(2.0 * point.sigma_n2)
+        # row by row, so that no list of all z.size Python floats is ever held
+        erfc = itertools.chain.from_iterable(map(math.erfc, row.tolist()) for row in z)
+        tail = np.fromiter(erfc, np.float64, z.size).reshape(z.shape) / 2
+        above = np.where(gap > 0, tail, 1.0 - tail)  # P(count + noise >= theta)
+    else:
+        above = (gap <= 0).astype(np.float64)
+    errors = (1.0 - above) @ on + above @ off
+    return float(grid[int(np.argmin(errors))])
+
+
+def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> float:
+    """detection_threshold's error probability estimated from a sampled
+    uncoded pilot, a stream of i.i.d. equiprobable bits through the same
+    channel: the grid point with the fewest pilot errors.  Deterministic for
+    a fixed seed.
     """
     if pilot_length < 10_000:
         raise ValueError("pilot must cover at least 10^4 slots")

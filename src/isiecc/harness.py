@@ -9,10 +9,13 @@ experiments never ask which one they hold.
 
 Every run is reproducible: _blocks, the one block rule, splits trials into
 blocks reduced in block order, so CSV bytes do not depend on the worker
-count.  Every generator is seeded by (seed, index, role, block): role 0 is
-a point's pilot (index = point, no block), 1 a block's messages and 2 its
-channel (index = group; `isi` is group 0).  SeedSequence ignores trailing
-zeros, so (seed, p, 0) is (seed, p), and no block may take role 0.
+count.  Every generator is seeded by (seed, index, role, block): role 1 is a
+block's messages and 2 its channel (index = group; `isi` is group 0); role
+0 is a sampled pilot's (index = point, block 0), run only with pilot_slots
+set.  SeedSequence zero-pads a key shorter than 4 words, so (5, 1, 0) is
+(5, 1), but a longer key keeps its trailing zeros.  A seed of 2^32 or more
+spans two words, so its keys are one word longer than a smaller seed's and
+never equal them.
 
 BER is measured on decoded message bits by run_ber_experiment; its step,
 ber_point, runs one code over one group: the sweep points sharing a
@@ -20,9 +23,9 @@ noise-free channel.  A `ber-m` point is a group of its own (group index =
 point index); a `ber-noise` sweep is one group, whose blocks draw words and
 transport once, then each point's noise in sweep order.  Blocks are encoded
 and decoded here; the channel only turns bit streams into slot decisions.
-Each point's detection threshold comes from an uncoded pilot, run before
-any block on the blocks' worker threads, and is shared by all codes at that
-point (recorded in the CSV and manifest).
+Each point's detection threshold is the exact error-minimizing one of an
+uncoded slot, from one slot law per group, and is shared by all codes at
+that point (recorded in the CSV and manifest).
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ from .channel import (
     CONFIG_KEYS,
     ChannelParams,
     calibrate_threshold,
+    detection_threshold,
     expected_isi,
     simulate_stream,
+    slot_law,
     slot_probs,
     transmit_counts,
 )
@@ -48,7 +53,6 @@ from .codebook import build_codebook, message_matrix
 from .codec import BatchCodec
 
 DEFAULT_BLOCK_SIZE = 25_000
-DEFAULT_PILOT_SLOTS = 200_000
 
 
 class StreamCoder:
@@ -116,7 +120,7 @@ class ExperimentConfig:
     post_encoding: bool = True
     workers: int = 1
     block_size: int = DEFAULT_BLOCK_SIZE
-    pilot_slots: int = DEFAULT_PILOT_SLOTS
+    pilot_slots: int = 0  # 0: exact thresholds; else sampled from pilots of this many slots
 
     def __post_init__(self):
         if not self.codes:
@@ -138,7 +142,7 @@ class TrialReport:
     manifest: dict = field(compare=False)
 
 
-# ExperimentConfig fields that only change how a BER sweep runs
+# ExperimentConfig fields only BER sweeps take
 BER_RUN_KEYS = ("workers", "block_size", "pilot_slots")
 
 
@@ -260,6 +264,17 @@ def ber_point(coder, points, group_idx, thresholds, config) -> list[int]:
     return [sum(errors) for errors in zip(*_map(config.workers, block, jobs))]
 
 
+def _thresholds(group, pis, config) -> list[float]:
+    """Detection thresholds of a group's points, indexed pis in the sweep:
+    each from the uncoded slot law, computed once for the group, or with
+    config.pilot_slots set, from a sampled pilot seeded by its point only."""
+    if config.pilot_slots:
+        keys = [[config.seed, pi, 0, 0] for pi in pis]
+        return [calibrate_threshold(pt, config.pilot_slots, k) for pt, k in zip(group, keys)]
+    law = slot_law(group[0], [0.5] * (group[0].L - 1))
+    return [detection_threshold(pt, law) for pt in group]
+
+
 # BER experiment kind -> the swept ChannelParams field, CSV column and threshold key
 BER_SWEEPS = {"ber-m": "M", "ber-noise": "sigma_n2"}
 
@@ -276,23 +291,17 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
         raise ValueError(f"{kind} needs a non-empty sweep")
     coders = _coders(config)
     points = [replace(config.channel, **{swept: value}) for value in config.sweep]
-    # one pilot per sweep point, seeded by the point only, so every code at
-    # a given point is detected with the same threshold
-    t_pilot = time.monotonic()
-    thetas = _map(
-        config.workers,
-        lambda pi: calibrate_threshold(points[pi], config.pilot_slots, [config.seed, pi, 0]),
-        range(len(points)),
-    )
-    pilot_s = time.monotonic() - t_pilot
-    # points sharing a noise-free channel (the transport tables' key) form a
-    # group; all codes run on it before a later group's table can evict it
+    # points sharing a noise-free channel (the transport tables' and slot
+    # law's key) form a group; all codes run on it before a later group's
+    # table can evict it
     keys = [replace(pt, sigma_n2=0.0) for pt in points]
     groups = [[pi for pi, key in enumerate(keys) if key == k] for k in dict.fromkeys(keys)]
-    errors = {}
+    errors, thetas = {}, {}
     for gi, pis in enumerate(groups):
+        group = [points[i] for i in pis]
+        thetas.update(zip(pis, _thresholds(group, pis, config)))
         for ci, coder in enumerate(coders):
-            errs = ber_point(coder, [points[i] for i in pis], gi, [thetas[i] for i in pis], config)
+            errs = ber_point(coder, group, gi, [thetas[i] for i in pis], config)
             errors.update(zip([(ci, pi) for pi in pis], errs))
     rows = []
     for (ci, pi), errs in sorted(errors.items()):
@@ -314,10 +323,8 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
     manifest = {
         **_config_echo(config, kind),
         # one threshold per sweep point, shared by every code
-        **{f"threshold[{swept}={_fmt(getattr(pt, swept))}]": th for pt, th in zip(points, thetas)},
+        **{f"threshold[{swept}={_fmt(config.sweep[i])}]": th for i, th in sorted(thetas.items())},
         "wall_clock_s": f"{time.monotonic() - t0:.3f}",
-        "pilots": len(thetas),
-        "pilot_s": f"{pilot_s:.3f}",
     }
     return TrialReport(tuple(rows), manifest)
 

@@ -1,12 +1,11 @@
 import math
-import threading
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from isiecc import ChannelParams, CodeSpec, harness, slot_probs
+from isiecc import ChannelParams, CodeSpec, channel, harness, slot_probs
 from isiecc.codec import swap_pairs
 
 
@@ -94,14 +93,32 @@ def multinomial_counts(tx_bits, params, rng, include_own_slot=True) -> np.ndarra
     return counts[: tx_bits.size]
 
 
-def count_pilots(monkeypatch) -> list:
-    """Record (thread, seed) of every pilot the harness calibrates."""
+def threshold_grid(params) -> np.ndarray:
+    """The 256 candidate thresholds, evenly spaced over [0, 2 M p_1]."""
+    return np.linspace(0.0, 2.0 * params.M * float(slot_probs(params)[0]), 256)
+
+
+def pilot_errors(params, pilot_length: int, rng_seed) -> np.ndarray:
+    """Sampled oracle: misses plus false alarms of each grid threshold on one
+    uncoded pilot of i.i.d. equiprobable bits through the channel."""
+    rng = np.random.default_rng(rng_seed)
+    sent = rng.integers(0, 2, size=pilot_length, dtype=np.uint8)
+    (counts,) = channel._observe(sent, [params], rng)
+    grid = threshold_grid(params)
+    on, off = np.sort(counts[sent == 1]), np.sort(counts[sent == 0])
+    return np.searchsorted(on, grid) + off.size - np.searchsorted(off, grid)
+
+
+def record_work(monkeypatch) -> list:
+    """Names of the threshold and transport stages a run calls, in call order."""
     calls = []
-    original = harness.calibrate_threshold
+    stages = [(harness, "slot_law"), (harness, "detection_threshold")]
+    stages += [(harness, "calibrate_threshold"), (channel, "_transport_tables")]
+    for module, name in stages:
 
-    def counted(params, pilot_length, rng_seed):
-        calls.append((threading.get_ident(), list(rng_seed)))
-        return original(params, pilot_length, rng_seed)
+        def recorded(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "calibrate_threshold", counted)
+        monkeypatch.setattr(module, name, recorded)
     return calls

@@ -301,7 +301,6 @@ def test_criterion_13_deterministic_across_workers():
             sweep=(150.0, 250.0),
             workers=workers,
             block_size=5_000,
-            pilot_slots=50_000,
         )
         return report_csv_text(run_ber_experiment(config, "ber-m")).encode()
 

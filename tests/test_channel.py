@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from conftest import isi_brute, multinomial_counts
+from conftest import isi_brute, multinomial_counts, pilot_errors, threshold_grid
 from isiecc import (
     ChannelParams,
     build_codebook,
@@ -685,15 +690,113 @@ class TestGuideTable:
         assert table.values.tolist() == [2, 4]
 
 
+def brute_slot_law(params, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Independent oracle: full, uncut Bin(M, p_d) pmfs, each lag's mixed
+    with a point mass at 0, convolved one by one."""
+    p, M = slot_probs(params), params.M
+    off = np.ones(1)
+    for p_d, w in zip(p[1:], weights):
+        mix = w * binomial_pmf(np.arange(M + 1), M, float(p_d))
+        mix[0] += 1 - w
+        off = np.convolve(off, mix)
+    return off, np.convolve(off, binomial_pmf(np.arange(M + 1), M, float(p[0])))
+
+
+def exact_error_curve(params) -> np.ndarray:
+    """Independent oracle: an uncoded slot's error probability at each grid
+    threshold, summed count by count with statistics.NormalDist."""
+    off, on = channel.slot_law(params, [0.5] * (params.L - 1))
+    sd = math.sqrt(params.sigma_n2)
+    curve = []
+    for theta in threshold_grid(params):
+        if sd:
+            below = np.array([NormalDist(k, sd).cdf(theta) for k in range(on.size)])
+        else:
+            below = (np.arange(on.size) < theta).astype(np.float64)
+        curve.append((below @ on + (1 - below) @ off) / 2)
+    return np.array(curve)
+
+
+BASE_03 = ChannelParams(D=79.4, r=5.0, r0=10.0, ts=0.3, L=40, M=300, sigma_n2=0.0)
+# the benchmark's and criterion 10's points, with the threshold the modal
+# 200k-slot pilot picks at each
+PILOT_PICKS = [
+    *((replace(BASE_03, M=M), theta) for M, theta in [(150, 33.09), (225, 50.05), (275, 61.18)]),
+    (BASE_03, 67.29),
+    *((replace(BASE_03, ts=0.4, sigma_n2=s2), 68.02) for s2 in (30.0, 75.0, 120.0)),
+]
+
+
+class TestSlotLaw:
+    @pytest.mark.parametrize(
+        "L, M, weights",
+        [(40, 300, [0.5] * 39), (6, 40, [0.3, 1.0, 0.0, 0.7, 0.5]), (1, 25, []), (3, 0, [1, 1])],
+    )
+    def test_matches_brute_force_convolution(self, params_03, L, M, weights):
+        params = replace(params_03, L=L, M=M)
+        for pmf, brute in zip(channel.slot_law(params, weights), brute_slot_law(params, weights)):
+            size = max(pmf.size, brute.size)
+            pmf, brute = (np.pad(a, (0, size - a.size)) for a in (pmf, brute))
+            assert np.abs(pmf - brute).max() < 1e-12
+
+    def test_weights_must_cover_the_earlier_lags(self, params_03):
+        with pytest.raises(ValueError):
+            channel.slot_law(params_03, [0.5] * 38)
+
+    def test_noise_free_counts_match_sampled_slots(self, params_03):
+        # a fixed history: slot 3 of each 9-slot period sends a 1, as did
+        # the slots 1 and 3 back; the period is longer than L, so no other
+        # 1 reaches it
+        params = replace(params_03, L=8)
+        tx = np.tile(np.array([1, 0, 1, 1, 0, 0, 0, 0, 0], dtype=np.uint8), 20_000)
+        counts = transmit_counts(tx, params, np.random.default_rng(5))[3::9]
+        _, on = channel.slot_law(params, [1, 0, 1, 0, 0, 0, 0])
+        observed = np.bincount(counts[1:].astype(np.int64), minlength=on.size)
+        expected = on * observed.sum()
+        pooled = expected >= 5
+        obs = np.append(observed[pooled], observed[~pooled].sum())
+        exp = np.append(expected[pooled], expected[~pooled].sum())
+        stat, df = float(((obs - exp) ** 2 / exp).sum()), obs.size - 1
+        assert stat < df + 5 * math.sqrt(2 * df), f"chi^2 = {stat:.1f} on {df} df"
+
+
 class TestCalibration:
+    @pytest.mark.parametrize("point, theta", PILOT_PICKS)
+    def test_exact_pick_matches_sampled_pilots(self, point, theta):
+        # 12 pilots of 200k slots per point: the exact pick is their modal
+        # pick, and the exact error curve lies within sampling error of theirs
+        exact = channel.detection_threshold(point, channel.slot_law(point, [0.5] * 39))
+        curve, grid = exact_error_curve(point), threshold_grid(point)
+        assert round(exact, 2) == theta
+        assert exact == grid[np.argmin(curve)]
+        errors = [pilot_errors(point, 200_000, [seed, 0, 0, 0]) for seed in range(12)]
+        picks = Counter(int(np.argmin(e)) for e in errors)
+        assert grid[picks.most_common(1)[0][0]] == exact
+        slots = 12 * 200_000
+        sd = np.sqrt(curve * (1 - curve) / slots)
+        assert (np.abs(np.sum(errors, axis=0) / slots - curve) < 5 * sd).all()
+
     def test_deterministic_for_fixed_seed(self, params_03):
         a = calibrate_threshold(params_03, 20_000, rng_seed=42)
         b = calibrate_threshold(params_03, 20_000, rng_seed=42)
         assert a == b
 
+    def test_pilot_oracle_is_the_sampled_calibration(self, params_03):
+        errors = pilot_errors(params_03, 20_000, 42)
+        theta = calibrate_threshold(params_03, 20_000, rng_seed=42)
+        assert theta == threshold_grid(params_03)[np.argmin(errors)]
+
+    def test_law_is_shared_by_points_differing_in_noise(self, params_03):
+        law = channel.slot_law(params_03, [0.5] * 39)
+        for s2 in (0.0, 45.0):
+            point = replace(params_03, sigma_n2=s2)
+            assert channel.detection_threshold(point, law) == threshold_grid(point)[
+                np.argmin(exact_error_curve(point))
+            ]
+
     def test_large_sampling_time_separates_classes(self):
         params = ChannelParams(D=79.4, r=5.0, r0=10.0, ts=3.0, L=40, M=300, sigma_n2=0.0)
-        theta = calibrate_threshold(params, 20_000, rng_seed=7)
+        theta = channel.detection_threshold(params, channel.slot_law(params, [0.5] * 39))
         peak = params.M * slot_probs(params)[0]
         assert 0.0 < theta < peak
         # with negligible interference the chosen threshold separates a fresh
@@ -704,12 +807,31 @@ class TestCalibration:
         assert (decisions != bits).mean() < 1e-3
 
     def test_zero_signal_rejected(self, params_03):
-        with pytest.raises(ValueError):
-            calibrate_threshold(replace(params_03, M=0), 20_000, rng_seed=1)
+        params = replace(params_03, M=0)
+        with pytest.raises(ValueError, match="M \\* p_1 = 0"):
+            channel.detection_threshold(params, channel.slot_law(params, [0.5] * 39))
+        with pytest.raises(ValueError, match="M \\* p_1 = 0"):
+            calibrate_threshold(params, 20_000, rng_seed=1)
 
     def test_short_pilot_rejected(self, params_03):
         with pytest.raises(ValueError):
             calibrate_threshold(params_03, 5_000, rng_seed=1)
+
+    def test_noisy_threshold_without_scipy(self):
+        # pyproject.toml declares numpy only: the noise step runs with scipy unimportable
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from isiecc import ChannelParams, detection_threshold, slot_law\n"
+            "p = ChannelParams(D=79.4, r=5.0, r0=10.0, ts=0.4, L=40, M=300, sigma_n2=75.0)\n"
+            "print(round(detection_threshold(p, slot_law(p, [0.5] * 39)), 2))\n"
+        )
+        src = str(Path(channel.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "68.02\n"
 
 
 class TestDetect:
@@ -720,7 +842,7 @@ class TestDetect:
         assert detect([2.5], 2.5).tolist() == [1]
 
     def test_calibrated_gap_case(self, params_03, profile_03):
-        theta = calibrate_threshold(params_03, 50_000, rng_seed=4)
+        theta = channel.detection_threshold(params_03, channel.slot_law(params_03, [0.5] * 39))
         peak = params_03.M * profile_03[0]
         assert detect([peak + 5 * 10, 0.1 * peak], theta).tolist() == [1, 0]
 

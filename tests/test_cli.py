@@ -1,11 +1,13 @@
 import argparse
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import count_pilots
-from isiecc import channel, cli, codebook, harness
+from conftest import record_work
+from isiecc import calibrate_threshold, channel, cli, codebook, detection_threshold, harness
+from isiecc import load_channel_config, slot_law
 from isiecc.cli import _parse_sweep, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -158,7 +160,6 @@ class TestExperimentCommands:
                 "--out", str(out),
                 "--trials", "1000",
                 "--block-size", "500",
-                "--pilot-slots", "20000",
             ]
         )
         assert rc == 0
@@ -185,15 +186,13 @@ class TestExperimentCommands:
         assert not out.exists()
 
     def test_molecule_sweep_above_cap_exits_2(self, tmp_path, capsys, monkeypatch):
-        pilots = count_pilots(monkeypatch)
-        tables = []
-        monkeypatch.setattr(channel, "_transport_tables", lambda *args: tables.append(args))
+        work = record_work(monkeypatch)
         cfg = write_config(tmp_path)
         out = tmp_path / "ber.csv"
         argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--out", str(out)]
         assert main(argv + ["--sweep", "300:200000:199700", "--trials", "1000"]) == 2
         assert "M = 200000 exceeds the cap of 100000" in capsys.readouterr().err
-        assert pilots == [] and tables == []
+        assert work == []
         assert not out.exists()
 
     def test_manifest_thresholds_keyed_by_sweep_point(self, tmp_path):
@@ -201,7 +200,7 @@ class TestExperimentCommands:
         out = tmp_path / "ber.csv"
         argv = ["ber-m", "--config", str(cfg), "--code", "ckm:4,5", "--code", "uncoded"]
         argv += ["--sweep", "300:500:200", "--out", str(out), "--trials", "300"]
-        assert main(argv + ["--pilot-slots", "20000"]) == 0
+        assert main(argv) == 0
         manifest = (tmp_path / "ber.manifest.txt").read_text().splitlines()
         keys = [line.split(" = ")[0] for line in manifest if line.startswith("threshold[")]
         assert keys == ["threshold[M=300]", "threshold[M=500]"]
@@ -248,7 +247,7 @@ class TestExperimentCommands:
         manifest = (tmp_path / "isi.manifest.txt").read_text().splitlines()
         keys = {line.split(" = ")[0] for line in manifest}
         assert {"seed", "trials", "version"} <= keys
-        assert not keys & {"workers", "block_size", "pilot_slots", "pilots", "pilot_s"}
+        assert not keys & {"workers", "block_size", "pilot_slots"}
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -262,7 +261,6 @@ class TestExperimentCommands:
                 "--out", str(out),
                 "--trials", "1000",
                 "--seed", "77",
-                "--pilot-slots", "20000",
             ]
         )
         manifest = (tmp_path / "ber.manifest.txt").read_text()
@@ -283,37 +281,37 @@ class TestExperimentCommands:
     def test_output_into_missing_directory_fails_before_any_pilot(
         self, tmp_path, capsys, monkeypatch
     ):
-        pilots = count_pilots(monkeypatch)
+        work = record_work(monkeypatch)
         cfg = write_config(tmp_path)
         out = tmp_path / "nodir" / "ber.csv"
         argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--out", str(out)]
         assert main(argv + ["--sweep", "300:300:1", "--trials", "1000"]) == 2
         assert str(out.parent) in capsys.readouterr().err
-        assert pilots == []
+        assert work == []
 
     @pytest.mark.parametrize("command", ["ber-m", "isi"])
     def test_output_onto_directory_fails_before_any_pilot(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        pilots = count_pilots(monkeypatch)
-        tables = []
-        monkeypatch.setattr(channel, "_transport_tables", lambda *args: tables.append(args))
+        work = record_work(monkeypatch)
         cfg = write_config(tmp_path)
         argv = [command, "--config", str(cfg), "--code", "uncoded", "--out", str(tmp_path)]
         if command == "ber-m":
             argv += ["--sweep", "300:300:1"]
         assert main(argv + ["--trials", "1000"]) == 2
         assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
-        assert pilots == [] and tables == []
+        assert work == []
 
-    def test_code_named_twice_exits_2_before_any_pilot(self, tmp_path, capsys, monkeypatch):
-        pilots = count_pilots(monkeypatch)
+    def test_code_named_twice_exits_2_before_any_pilot(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        work = record_work(monkeypatch)
         cfg = write_config(tmp_path)
         out = tmp_path / "ber.csv"
         argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--code", "uncoded"]
         assert main(argv + ["--sweep", "300:300:1", "--out", str(out), "--trials", "1000"]) == 2
         assert "code uncoded is selected more than once" in capsys.readouterr().err
-        assert pilots == []
+        assert work == []
         assert not out.exists()
 
     def test_code_spelled_twice_exits_2_before_any_isi_block(self, tmp_path, capsys, monkeypatch):
@@ -354,9 +352,9 @@ class TestExperimentCommands:
         "argv, tail",
         [
             (
-                ["ber-m", "--code", "uncoded", "--sweep", "300:300:1", "--pilot-slots", "20000"],
+                ["ber-m", "--code", "uncoded", "--sweep", "300:300:1"],
                 ["workers", "block_size", "pilot_slots", "version", "threshold[M=300]",
-                 "wall_clock_s", "pilots", "pilot_s"],
+                 "wall_clock_s"],
             ),
             (["isi", "--code", "rep3"], ["version", "wall_clock_s"]),
         ],
@@ -381,7 +379,30 @@ class TestExperimentCommands:
         assert not any(hasattr(args, key) for key in ("workers", "block_size", "pilot_slots"))
         assert main(argv) == 0
         manifest = (tmp_path / "ber.manifest.txt").read_text().splitlines()
-        assert {"workers = 1", "block_size = 25000", "pilot_slots = 200000"} <= set(manifest)
+        assert {"workers = 1", "block_size = 25000", "pilot_slots = 0"} <= set(manifest)
+
+    def test_pilot_slots_flag_samples_the_threshold(self, tmp_path):
+        cfg = write_config(tmp_path)
+        argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--sweep", "250:250:1"]
+        argv += ["--trials", "300", "--seed", "9"]
+        thresholds = {}
+        for extra in ([], ["--pilot-slots", "20000"]):
+            out = tmp_path / f"ber{len(extra)}.csv"
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            thresholds[len(extra)] = out.read_text().splitlines()[1].split(",")[-1]
+        params, _ = load_channel_config(cfg)
+        point = replace(params, M=250)
+        assert thresholds == {
+            0: format(detection_threshold(point, slot_law(point, [0.5] * 39)), ".12g"),
+            2: format(calibrate_threshold(point, 20_000, [9, 0, 0]), ".12g"),
+        }
+
+    def test_performance_flags_say_they_keep_the_csv(self):
+        sub = argparse.ArgumentParser()
+        cli._add_ber_args(sub, default_sweep="300:300:1")
+        helps = {action.dest: action.help for action in sub._actions}
+        for dest in ("workers", "block_size"):
+            assert "never the CSV" in helps[dest]
 
 
 def readme_commands() -> list[str]:

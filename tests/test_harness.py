@@ -1,19 +1,20 @@
 import itertools
 import math
-import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import count_pilots
+from conftest import record_work
 from isiecc import (
     ExperimentConfig,
     calibrate_threshold,
+    detection_threshold,
     expected_isi,
     make_coder,
     run_ber_experiment,
     run_isi_experiment,
+    slot_law,
     slot_probs,
     streaming_expected_isi,
     write_report,
@@ -146,7 +147,6 @@ def small_config(params, **overrides):
         post_encoding=True,
         workers=1,
         block_size=500,
-        pilot_slots=20_000,
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
@@ -333,9 +333,9 @@ class TestBerExperiments:
             run_ber_experiment(small_config(params_03), "ber-x")
 
     def test_sweeps_build_each_table_once(self, params_03):
-        # the transport tables do not depend on sigma_n2, so over 3 pilots
-        # and every block of 3 codes a 3-point ber-m sweep builds 3 table
-        # pairs and a 3-point ber-noise sweep 1
+        # the transport tables do not depend on sigma_n2, so over every
+        # block of 3 codes a 3-point ber-m sweep builds 3 table pairs and a
+        # 3-point ber-noise sweep 1
         for kind, sweep, table_pairs in (
             ("ber-m", (150.0, 200.0, 250.0), 3),
             ("ber-noise", (0.0, 30.0, 60.0), 1),
@@ -344,16 +344,18 @@ class TestBerExperiments:
             run_ber_experiment(small_config(params_03, sweep=sweep, trials=500), kind)
             assert channel._transport_tables.cache_info().misses == table_pairs, kind
 
-    @pytest.mark.parametrize("points,builds", [(16, 16), (17, 34)])
-    def test_long_sweep_builds_each_table_at_most_twice(self, params_03, points, builds):
-        # blocks run point by point with every code inside, so past the 16
-        # cached tables a point's table is built once for its pilot and once
-        # for all its blocks, not once per code
+    @pytest.mark.parametrize("pilot_slots", [0, 10_000])
+    @pytest.mark.parametrize("points", [16, 17])
+    def test_long_sweep_builds_each_table_once(self, params_03, points, pilot_slots):
+        # a point's threshold, pilot included, and all its blocks run before
+        # the next point's, so past the 16 cached tables each is built once
         sweep = tuple(100.0 + 20 * i for i in range(points))
-        config = small_config(params_03, codes=("uncoded", "rep3"), sweep=sweep, trials=200)
+        config = small_config(
+            params_03, codes=("uncoded",), sweep=sweep, trials=200, pilot_slots=pilot_slots
+        )
         channel._transport_tables.cache_clear()
         run_ber_experiment(config, "ber-m")
-        assert channel._transport_tables.cache_info().misses == builds
+        assert channel._transport_tables.cache_info().misses == points
 
     def test_noise_sweep_tables_are_noise_free(self, params_03, monkeypatch):
         seen, build = [], channel._transport_tables
@@ -368,35 +370,38 @@ class TestBerExperiments:
             run_ber_experiment(config, "ber-m")
 
     def test_bad_code_label_fails_before_any_pilot(self, params_03, monkeypatch):
-        pilots = count_pilots(monkeypatch)
-        config = small_config(params_03, codes=("ckm:4,5", "ckm:4,3"))
-        with pytest.raises(ValueError, match="k < m"):
-            run_ber_experiment(config, "ber-m")
-        assert pilots == []
+        # no threshold, exact or sampled, and no transport
+        work = record_work(monkeypatch)
+        for pilot_slots in (0, 10_000):
+            config = small_config(
+                params_03, codes=("ckm:4,5", "ckm:4,3"), pilot_slots=pilot_slots
+            )
+            with pytest.raises(ValueError, match="k < m"):
+                run_ber_experiment(config, "ber-m")
+        assert work == []
 
     def test_fractional_molecule_sweep_fails_before_any_pilot(self, params_03, monkeypatch):
-        pilots = count_pilots(monkeypatch)
+        work = record_work(monkeypatch)
         config = small_config(params_03, sweep=(100.0, 100.5, 101.0))
         with pytest.raises(ValueError, match="100.5"):
             run_ber_experiment(config, "ber-m")
-        assert pilots == []
+        assert work == []
 
-    def test_one_pilot_per_point_and_unchanged_rows(self, params_03, monkeypatch):
-        pilots = count_pilots(monkeypatch)
+    def test_one_slot_law_per_group_and_unchanged_rows(self, params_03, monkeypatch):
+        work = record_work(monkeypatch)
         config = small_config(params_03)
         report = run_ber_experiment(config, "ber-m")
-        assert len(pilots) == len(config.sweep) == 2
-        # workers=1 runs every pilot inline: no pool thread, no extra malloc arena
-        assert {thread for thread, _ in pilots} == {threading.get_ident()}
-        assert sorted(seed for _, seed in pilots) == [[11, 0, 0], [11, 1, 0]]
+        # each point's law and threshold come before its blocks' transport
+        stages = [name for name, _ in itertools.groupby(work)]
+        assert stages == ["slot_law", "detection_threshold", "_transport_tables"] * 2
 
-        # each row is what a standalone point with its own pilot gives
+        # each row is what a standalone point with its own threshold gives
         expected = []
         for label in config.codes:
             coder = make_coder(label)
             for pi, value in enumerate(config.sweep):
                 point = replace(params_03, M=value)
-                theta = calibrate_threshold(point, config.pilot_slots, [config.seed, pi, 0])
+                theta = detection_threshold(point, slot_law(point, [0.5] * 39))
                 (errors,) = ber_point(coder, [point], pi, [theta], config)
                 bits = config.trials * coder.message_len
                 expected.append((label, value, bits, errors, theta))
@@ -408,13 +413,35 @@ class TestBerExperiments:
         parallel = run_ber_experiment(small_config(params_03, workers=3), "ber-m")
         assert report_csv_text(parallel) == report_csv_text(report)
 
+    def test_noise_sweep_computes_one_slot_law(self, params_03, monkeypatch):
+        work = record_work(monkeypatch)
+        config = small_config(params_03, codes=("uncoded",), sweep=(0.0, 30.0, 60.0), trials=300)
+        run_ber_experiment(config, "ber-noise")
+        stages = [name for name, _ in itertools.groupby(work)]
+        assert stages == ["slot_law", "detection_threshold", "_transport_tables"]
+        assert work.count("detection_threshold") == 3
+
+    def test_pilot_slots_sample_each_threshold_from_a_pilot(self, params_03, monkeypatch):
+        work = record_work(monkeypatch)
+        config = small_config(params_03, codes=("uncoded",), trials=300, pilot_slots=10_000)
+        report = run_ber_experiment(config, "ber-m")
+        assert [name for name, _ in itertools.groupby(work)] == [
+            "calibrate_threshold",
+            "_transport_tables",
+        ] * 2
+        # below 2^32 a seed's pilot keys (seed, p, 0, 0) and (seed, p, 0) are one stream
+        assert [row["threshold"] for row in report.rows] == [
+            calibrate_threshold(replace(params_03, M=value), 10_000, [11, pi, 0])
+            for pi, value in enumerate(config.sweep)
+        ]
+
     @pytest.mark.parametrize("kind, per_block", [("ber-noise", 1), ("ber-m", 3)])
     def test_transport_once_per_block_for_a_noise_sweep(
         self, params_03, monkeypatch, kind, per_block
     ):
         # 3 sweep points share one noise-free channel in ber-noise, so each
         # (code, block) draws transport once for all of them; ber-m points
-        # do not, so each draws its own; every point still has its pilot
+        # do not, so each draws its own
         calls, transport = [], channel.transmit_counts
         monkeypatch.setattr(
             channel, "transmit_counts", lambda *a, **kw: calls.append(1) or transport(*a, **kw)
@@ -422,7 +449,7 @@ class TestBerExperiments:
         sweep = (0.0, 60.0, 120.0) if kind == "ber-noise" else (150.0, 200.0, 250.0)
         config = small_config(params_03, codes=("ckm:4,5", "rep3"), sweep=sweep, trials=1_000)
         run_ber_experiment(config, kind)
-        assert len(calls) == 3 + per_block * 2 * 2  # pilots + per_block x codes x blocks
+        assert len(calls) == per_block * 2 * 2  # per_block x codes x blocks
 
     def test_longer_noise_sweep_keeps_earlier_rows(self, params_03):
         def rows(sweep):
@@ -457,11 +484,11 @@ class TestReportOutput:
         assert "wall_clock_s = " in manifest
         assert "threshold[M=150]" in manifest
 
-    def test_ber_manifest_counts_pilots(self, params_03):
+    def test_ber_manifest_names_the_threshold_rule(self, params_03):
         config = small_config(params_03, codes=("ckm:4,5", "uncoded"), trials=800)
         text = manifest_text(run_ber_experiment(config, "ber-m"))
-        assert "pilots = 2\n" in text
-        assert "pilot_s = " in text
+        assert "pilot_slots = 0\n" in text
+        assert "pilots = " not in text and "pilot_s = " not in text
 
     def test_reports_compare_by_rows_not_manifest(self, params_03):
         config = small_config(params_03, codes=("uncoded",), trials=300, sweep=())
@@ -487,47 +514,80 @@ class TestReportOutput:
         assert "experiment = ber-m" in text
 
 
-def _stripped(key) -> tuple:
-    """A seed key as SeedSequence reads it: trailing zeros do not count."""
-    key = np.atleast_1d(key).tolist()
-    while key and key[-1] == 0:
-        key.pop()
-    return tuple(key)
+def run_seed_keys(monkeypatch, config, kind) -> list:
+    """Every seed key a run passes to np.random.default_rng, in call order."""
+    keys = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        keys.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    if kind == "isi":
+        run_isi_experiment(config)
+    else:
+        run_ber_experiment(config, kind)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return keys
+
+
+def state(key) -> tuple:
+    """The generator state a seed key gives, as SeedSequence derives it."""
+    return tuple(np.random.SeedSequence(key).generate_state(4).tolist())
 
 
 class TestSeedLayout:
     def test_trailing_zeros_do_not_change_a_stream(self):
+        # SeedSequence zero-pads a key shorter than 4 words
         draws = {
             tuple(np.random.default_rng(key).integers(0, 2**32, size=4).tolist())
             for key in ([5, 0, 0], [5, 0], [5], 5)
         }
         assert len(draws) == 1
 
+    def test_keys_of_four_words_or_more_keep_trailing_zeros(self):
+        assert state([5, 1, 1, 2, 0]) != state([5, 1, 1, 2])
+        assert state([5, 1, 0, 0]) == state([5, 1, 0]) == state([5, 1])
+        # a seed of 2^32 or more spans two words
+        assert state([2**32 + 5, 1, 0]) == state([5, 1, 1, 0])
+
     @pytest.mark.parametrize("kind", ["ber-m", "ber-noise", "isi"])
     def test_no_two_streams_of_a_run_share_a_seed(self, params_03, monkeypatch, kind):
         # every generator a run seeds, pilots and blocks alike, gets its own
         # stream.  Each code of a run replays the same keys, so one code; 3
         # blocks per group (25,001 uncoded isi words make 2 default blocks)
-        keys = []
-        default_rng = np.random.default_rng
-
-        def recording(seed=None):
-            keys.append(seed)
-            return default_rng(seed)
-
-        monkeypatch.setattr(np.random, "default_rng", recording)
         sweeps = {"ber-m": (150.0, 250.0), "ber-noise": (0.0, 60.0), "isi": ()}
         config = small_config(
             params_03, codes=("uncoded",), trials=1_200, block_size=500, sweep=sweeps[kind]
         )
-        if kind == "isi":
-            run_isi_experiment(replace(config, trials=25_001))
-        else:
-            run_ber_experiment(config, kind)
-        # 2 pilots, then messages and channel per block of each group
-        assert len(keys) == {"ber-m": 2 + 2 * 3 * 2, "ber-noise": 2 + 3 * 2, "isi": 2 * 2}[kind]
-        stripped = [_stripped(key) for key in keys]
-        assert len(set(stripped)) == len(stripped), stripped
+        runs = [replace(config, trials=25_001)] if kind == "isi" else [config]
+        if kind != "isi":
+            runs.append(replace(config, pilot_slots=10_000))
+        for run, pilots in zip(runs, (0, 2)):
+            keys = run_seed_keys(monkeypatch, run, kind)
+            # any pilots, then messages and channel per block of each group
+            blocks = {"ber-m": 2 * 3 * 2, "ber-noise": 3 * 2, "isi": 2 * 2}[kind]
+            assert len(keys) == pilots + blocks
+            states = [state(key) for key in keys]
+            assert len(set(states)) == len(states), keys
+
+    @pytest.mark.parametrize("pilot_slots", [0, 10_000])
+    @pytest.mark.parametrize("kind", ["ber-m", "ber-noise"])
+    def test_runs_at_seeds_sharing_a_low_word_share_no_stream(
+        self, params_03, monkeypatch, kind, pilot_slots
+    ):
+        # seed 2^32 + 5 is the words (5, 1): its keys must not repeat any of
+        # seed 5's, whose group 1 keys start (5, 1) too
+        sweep = (150.0, 250.0) if kind == "ber-m" else (0.0, 60.0)
+        config = small_config(
+            params_03, codes=("uncoded",), trials=1_200, sweep=sweep, pilot_slots=pilot_slots
+        )
+        low, high = (
+            {state(key) for key in run_seed_keys(monkeypatch, replace(config, seed=s), kind)}
+            for s in (5, 2**32 + 5)
+        )
+        assert not low & high
 
 
 class TestConfigValidation:
@@ -540,6 +600,6 @@ class TestConfigValidation:
             small_config(params_03, trials=0)
 
     def test_repeated_sweep_value_rejected(self, params_03):
-        # two points at one value would run two pilots for one manifest line
+        # two points at one value would compute two thresholds for one manifest line
         with pytest.raises(ValueError, match="repeats a value"):
             small_config(params_03, sweep=(150.0, 250.0, 150.0))

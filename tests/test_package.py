@@ -10,10 +10,10 @@ TESTS = Path(__file__).resolve().parent
 PUBLIC = {
     "BatchCodec", "ChannelParams", "CodeSpec", "Codebook", "ExperimentConfig", "TrialReport",
     "bits_to_str", "build_codebook", "calibrate_threshold", "codeword_isi_bound", "decode",
-    "density_profile", "design_for_rate", "detect", "encode", "expected_isi",
-    "export_codebook_csv", "hitting_prob", "load_channel_config", "make_coder",
+    "density_profile", "design_for_rate", "detect", "detection_threshold", "encode",
+    "expected_isi", "export_codebook_csv", "hitting_prob", "load_channel_config", "make_coder",
     "message_matrix", "parity_weight_cap", "parse_bits", "run_ber_experiment",
-    "run_isi_experiment", "simulate_stream", "slot_probs", "stream_average_isi",
+    "run_isi_experiment", "simulate_stream", "slot_law", "slot_probs", "stream_average_isi",
     "streaming_expected_isi", "swap_gain", "verify_min_distance", "write_report",
 }
 
