@@ -323,7 +323,8 @@ def transmit_counts(
     drawn = emission.sample(cells[: ones.size], fixup)
     shift = params.M.bit_length()
     if include_own_slot:
-        counts[ones] += drawn & (1 << shift) - 1
+        # every value is below its dtype's max, which at L = 1 can be below the mask
+        counts[ones] += drawn & min((1 << shift) - 1, np.iinfo(drawn.dtype).max)
     if lags is None:
         return counts[:S]
     tail = drawn >> shift
@@ -397,9 +398,11 @@ def detection_threshold(point: ChannelParams, law) -> float:
     """Threshold minimizing an uncoded slot's error probability, P(count +
     noise < theta | 1) / 2 + P(count + noise >= theta | 0) / 2, over 256 evenly
     spaced values spanning [0, 2 M p_1]; ties resolve to the lowest one.
-    `law` is slot_law(point, [1/2] * (L - 1)): i.i.d. equiprobable bits.  A
-    pure function of the point, shared by every code under comparison so that
-    detection does not favour any of them."""
+    `law` is an (off, on) pair of weights over counts 0, 1, ... for i.i.d.
+    equiprobable bits: the exact pmfs slot_law(point, [1/2] * (L - 1)), or a
+    pilot's count histograms, whose weighted errors are its misses plus false
+    alarms.  Exact, it is a pure function of the point, shared by every code
+    under comparison so that detection does not favour any of them."""
     peak = point.M * float(slot_probs(point)[0])
     if peak <= 0:
         raise ValueError("cannot calibrate with M * p_1 = 0")
@@ -419,25 +422,17 @@ def detection_threshold(point: ChannelParams, law) -> float:
 
 
 def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> float:
-    """detection_threshold's error probability estimated from a sampled
-    uncoded pilot, a stream of i.i.d. equiprobable bits through the same
-    channel: the grid point with the fewest pilot errors.  Deterministic for
-    a fixed seed.
-    """
+    """detection_threshold over a sampled law: the noise-free count
+    histograms of an uncoded pilot, a stream of i.i.d. equiprobable bits
+    through the same channel's transport, with the noise then added exactly.
+    Deterministic for a fixed seed."""
     if pilot_length < 10_000:
         raise ValueError("pilot must cover at least 10^4 slots")
-    peak = params.M * float(slot_probs(params)[0])
-    if peak <= 0:
-        raise ValueError("cannot calibrate with M * p_1 = 0")
     rng = np.random.default_rng(rng_seed)
     sent = rng.integers(0, 2, size=pilot_length, dtype=np.uint8)
-    (counts,) = _observe(sent, [params], rng)
-    grid = np.linspace(0.0, 2.0 * peak, 256)
-    on = np.sort(counts[sent == 1])
-    off = np.sort(counts[sent == 0])
-    misses = np.searchsorted(on, grid, side="left")  # on-counts below threshold
-    false_alarms = off.size - np.searchsorted(off, grid, side="left")
-    return float(grid[int(np.argmin(misses + false_alarms))])
+    counts = transmit_counts(sent, params, rng).astype(np.int64)
+    law = [np.bincount(counts[sent == bit], minlength=counts.max() + 1) for bit in (0, 1)]
+    return detection_threshold(params, law)
 
 
 def detect(counts, threshold: float) -> np.ndarray:

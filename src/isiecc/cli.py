@@ -82,15 +82,15 @@ def _add_ber_args(sub: argparse.ArgumentParser, default_sweep: str) -> None:
     _add_experiment_args(sub, default_trials=1_000_000)
     sub.add_argument("--sweep", type=_parse_sweep, default=_parse_sweep(default_sweep))
     unset = argparse.SUPPRESS
-    keeps_csv = "; changes speed and memory, never the CSV"
-    sub.add_argument("--workers", type=int, default=unset, help="worker threads" + keeps_csv)
-    sub.add_argument("--block-size", type=int, default=unset, help="words per block" + keeps_csv)
+    new_draws = "words per block; blocks seed their draws, so a new size changes them, not the law"
+    sub.add_argument("--workers", type=int, default=unset, help="worker threads; keeps the CSV")
+    sub.add_argument("--block-size", type=int, default=unset, help=new_draws)
     sub.add_argument(
         "--pilot-slots",
         type=int,
         default=unset,
-        help="sample each point's threshold from an uncoded pilot of this many slots"
-        " instead of computing it exactly",
+        help="take each point's threshold from the transport counts of an uncoded pilot of"
+        " this many slots, its noise added exactly, instead of the exact slot law",
     )
 
 

@@ -10,12 +10,13 @@ experiments never ask which one they hold.
 Every run is reproducible: _blocks, the one block rule, splits trials into
 blocks reduced in block order, so CSV bytes do not depend on the worker
 count.  Every generator is seeded by (seed, index, role, block): role 1 is a
-block's messages and 2 its channel (index = group; `isi` is group 0); role
-0 is a sampled pilot's (index = point, block 0), run only with pilot_slots
-set.  SeedSequence zero-pads a key shorter than 4 words, so (5, 1, 0) is
-(5, 1), but a longer key keeps its trailing zeros.  A seed of 2^32 or more
-spans two words, so its keys are one word longer than a smaller seed's and
-never equal them.
+block's messages and 2 its channel (index = group; `isi` is group 0), both
+keyed by _block_stream, the one block draw of BER and `isi`; role 0 is a
+sampled pilot's (index = point, block 0), run only with pilot_slots set.
+SeedSequence zero-pads a key shorter than 4 words, so (5, 1, 0) is (5, 1),
+but a longer key keeps its trailing zeros.  A seed of 2^32 or more spans
+two words, so its keys are one word longer than a smaller seed's and never
+equal them.
 
 BER is measured on decoded message bits by run_ber_experiment; its step,
 ber_point, runs one code over one group: the sweep points sharing a
@@ -177,6 +178,15 @@ def _blocks(trials: int, size: int, n: int) -> list[tuple[int, int]]:
     return list(enumerate(min(words, trials - start) for start in range(0, trials, words)))
 
 
+def _block_stream(coder, seed, group, job):
+    """(messages, transmitted slot stream, channel seed key) of one _blocks
+    job: the only home of seed roles 1 (messages) and 2 (channel)."""
+    block_idx, words = job
+    rng_msg = np.random.default_rng([seed, group, 1, block_idx])
+    msgs = rng_msg.integers(0, 2, size=(words, coder.message_len), dtype=np.uint8)
+    return msgs, coder.encode(msgs).reshape(-1), [seed, group, 2, block_idx]
+
+
 def _map(workers: int, fn, jobs) -> list:
     """fn over jobs, results in job order: inline on the calling thread for
     one worker (no pool thread, so no extra malloc arena), else on a pool of
@@ -195,13 +205,10 @@ def _isi_mc_profile(coder, params: ChannelParams, trials: int, seed) -> np.ndarr
     """Monte Carlo per-position mean interference (molecules) in a stream."""
     n = coder.block_len
     sums = np.zeros(n, dtype=np.float64)
-    for b, nb in _blocks(trials, DEFAULT_BLOCK_SIZE, n):
-        rng_msg = np.random.default_rng([seed, 0, 1, b])
-        msgs = rng_msg.integers(0, 2, size=(nb, coder.message_len), dtype=np.uint8)
-        tx = coder.encode(msgs).reshape(-1)
-        rng_ch = np.random.default_rng([seed, 0, 2, b])
-        interference = transmit_counts(tx, params, rng_ch, include_own_slot=False)
-        sums += interference.reshape(nb, n).sum(axis=0)
+    for job in _blocks(trials, DEFAULT_BLOCK_SIZE, n):
+        _, tx, key = _block_stream(coder, seed, 0, job)
+        counts = transmit_counts(tx, params, np.random.default_rng(key), include_own_slot=False)
+        sums += counts.reshape(-1, n).sum(axis=0)
     return sums / trials
 
 
@@ -253,12 +260,9 @@ def ber_point(coder, points, group_idx, thresholds, config) -> list[int]:
     channel and so each block's words and transport, over config.trials words."""
 
     def block(job):
-        block_idx, nb = job
-        rng_msg = np.random.default_rng([config.seed, group_idx, 1, block_idx])
-        msgs = rng_msg.integers(0, 2, size=(nb, coder.message_len), dtype=np.uint8)
-        tx = coder.encode(msgs).reshape(-1)
-        decisions = simulate_stream(tx, points, [config.seed, group_idx, 2, block_idx], thresholds)
-        return [int((coder.decode(d.reshape(nb, -1)) != msgs).sum()) for d in decisions]
+        msgs, tx, key = _block_stream(coder, config.seed, group_idx, job)
+        decisions = simulate_stream(tx, points, key, thresholds)
+        return [int((coder.decode(d.reshape(len(msgs), -1)) != msgs).sum()) for d in decisions]
 
     jobs = _blocks(config.trials, config.block_size, coder.block_len)
     return [sum(errors) for errors in zip(*_map(config.workers, block, jobs))]

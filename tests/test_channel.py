@@ -292,6 +292,17 @@ class TestTransport:
         se = np.sqrt(M * p * (1 - p) / trials)
         assert (np.abs(mean - M * p) <= 4 * se).all()
 
+    @pytest.mark.parametrize("M", [127, 128, 150, 211, 32_767, 32_768, 100_000])
+    def test_memoryless_channel_counts_are_whole_and_bounded(self, params_03, M):
+        # at L = 1 the emission table holds X_1 alone, in a dtype that the
+        # own-count mask of M.bit_length() bits can overflow
+        params = replace(params_03, L=1, M=M)
+        tx = np.random.default_rng(2).integers(0, 2, size=2_000, dtype=np.uint8)
+        counts = transmit_counts(tx, params, np.random.default_rng(3))
+        assert (counts == np.round(counts)).all()
+        assert (counts >= 0).all() and (counts <= M).all()
+        assert (counts[tx == 0] == 0).all() and counts[tx == 1].max() > 0
+
     def test_counts_do_not_depend_on_draw_chunking(self, params_03, monkeypatch):
         # ~1.5 default chunks of emissions, so a full and a partial chunk are drawn
         tx = np.random.default_rng(4).integers(0, 2, size=3 * TRANSPORT_CHUNK, dtype=np.uint8)
@@ -775,6 +786,21 @@ class TestCalibration:
         slots = 12 * 200_000
         sd = np.sqrt(curve * (1 - curve) / slots)
         assert (np.abs(np.sum(errors, axis=0) / slots - curve) < 5 * sd).all()
+
+    @pytest.mark.parametrize("s2", [75.0, 120.0])
+    def test_noisy_pilot_adds_the_noise_exactly(self, s2):
+        # the pilot samples transport only and the noise is added exactly, so
+        # every 200k-slot pilot picks the exact threshold
+        point = replace(BASE_03, ts=0.4, sigma_n2=s2)
+        exact = channel.detection_threshold(point, channel.slot_law(point, [0.5] * 39))
+        assert round(exact, 2) == 68.02
+        picks = [calibrate_threshold(point, 200_000, [seed, 0, 0, 0]) for seed in range(6)]
+        assert picks == [exact] * 6
+
+    def test_memoryless_pilot_calibrates(self, params_03):
+        point = replace(params_03, L=1, M=150)
+        theta = calibrate_threshold(point, 10_000, rng_seed=4)
+        assert theta == channel.detection_threshold(point, channel.slot_law(point, []))
 
     def test_deterministic_for_fixed_seed(self, params_03):
         a = calibrate_threshold(params_03, 20_000, rng_seed=42)

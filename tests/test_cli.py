@@ -381,6 +381,18 @@ class TestExperimentCommands:
         manifest = (tmp_path / "ber.manifest.txt").read_text().splitlines()
         assert {"workers = 1", "block_size = 25000", "pilot_slots = 0"} <= set(manifest)
 
+    def test_memoryless_channel_runs_molecule_sweep(self, tmp_path):
+        # at L = 1 the emission table holds X_1 alone, in a dtype narrower than
+        # the own-count mask of M = 128 .. 211
+        cfg = write_config(tmp_path, L=1)
+        out = tmp_path / "ber.csv"
+        argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--code", "ckm:4,5"]
+        argv += ["--sweep", "100:300:100", "--trials", "2000", "--out", str(out)]
+        assert main(argv) == 0
+        # L and M counted from the end: the label ckm:4,5 holds a comma
+        rows = [line.split(",")[-7:-5] for line in out.read_text().splitlines()[1:]]
+        assert rows == [["1", m] for m in ("100", "200", "300")] * 2
+
     def test_pilot_slots_flag_samples_the_threshold(self, tmp_path):
         cfg = write_config(tmp_path)
         argv = ["ber-m", "--config", str(cfg), "--code", "uncoded", "--sweep", "250:250:1"]
@@ -397,12 +409,14 @@ class TestExperimentCommands:
             2: format(calibrate_threshold(point, 20_000, [9, 0, 0]), ".12g"),
         }
 
-    def test_performance_flags_say_they_keep_the_csv(self):
+    def test_help_tells_workers_from_block_size(self):
+        # block indices seed the streams: only the worker count keeps CSV bytes
         sub = argparse.ArgumentParser()
         cli._add_ber_args(sub, default_sweep="300:300:1")
         helps = {action.dest: action.help for action in sub._actions}
-        for dest in ("workers", "block_size"):
-            assert "never the CSV" in helps[dest]
+        assert "keeps the CSV" in helps["workers"]
+        assert "changes them, not the law" in helps["block_size"]
+        assert "CSV" not in helps["block_size"]
 
 
 def readme_commands() -> list[str]:

@@ -328,6 +328,23 @@ class TestBerExperiments:
         )
         assert one == two
 
+    def test_block_size_changes_the_draws_not_the_law(self, params_03):
+        # block indices seed the streams, so the counts differ, but each BER
+        # stays within 4 combined standard errors of the other size's
+        config = small_config(
+            params_03, codes=("uncoded", "ckm:4,5"), trials=20_000, sweep=(200.0,)
+        )
+        big, small = (
+            run_ber_experiment(replace(config, block_size=size), "ber-m").rows
+            for size in (25_000, 1_000)
+        )
+        for a, b in zip(big, small, strict=True):
+            assert a["code"] == b["code"] and a["bits_sent"] == b["bits_sent"]
+            bits = a["bits_sent"]
+            se = math.sqrt((a["ber"] * (1 - a["ber"]) + b["ber"] * (1 - b["ber"])) / bits)
+            assert abs(a["ber"] - b["ber"]) <= 4 * se, (a["code"], a["ber"], b["ber"])
+        assert [r["bit_errors"] for r in big] != [r["bit_errors"] for r in small]
+
     def test_unknown_kind_names_the_kinds(self, params_03):
         with pytest.raises(ValueError, match="unknown BER kind 'ber-x'.*ber-m, ber-noise"):
             run_ber_experiment(small_config(params_03), "ber-x")
@@ -538,6 +555,14 @@ def state(key) -> tuple:
 
 
 class TestSeedLayout:
+    def test_block_stream_keys_messages_and_channel(self):
+        coder = make_coder("ckm:4,5")
+        msgs, tx, key = harness._block_stream(coder, 5, 3, (7, 10))
+        rng = np.random.default_rng([5, 3, 1, 7])
+        assert (msgs == rng.integers(0, 2, size=(10, 4), dtype=np.uint8)).all()
+        assert (tx == coder.encode(msgs).reshape(-1)).all()
+        assert key == [5, 3, 2, 7]
+
     def test_trailing_zeros_do_not_change_a_stream(self):
         # SeedSequence zero-pads a key shorter than 4 words
         draws = {
