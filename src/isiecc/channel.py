@@ -259,7 +259,7 @@ def _binomial_log_pmf(M: int):
     return log_pmf
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _transport_tables(point: ChannelParams):
     """(emission, lags) guide tables for one noise-free channel point, built
     at its first transport call.  `emission` is over one emission's own-slot

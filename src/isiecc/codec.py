@@ -99,7 +99,7 @@ def decode(word, spec: CodeSpec) -> np.ndarray:
 
 
 class BatchCodec:
-    """Vectorized encoder and decoder over word matrices.
+    """The ckm:K,M coder: vectorized encoder and decoder over word matrices.
 
     Encoding is a row lookup in the materialized codebook; decoding runs the
     same recover-or-passthrough rule as decode() across all words at once.
@@ -109,16 +109,17 @@ class BatchCodec:
     def __init__(self, codebook: Codebook, post_encoding: bool = True):
         spec = codebook.spec
         self.spec = spec
+        self.label = f"ckm:{spec.k},{spec.m}"
+        self.post_encoding_label = "true" if post_encoding else "false"
+        self.message_len, self.block_len = spec.k, spec.n
         self._perm = swap_permutation(spec) if post_encoding else np.arange(spec.n)
         self._table = codebook.codewords[:, self._perm]
+        self._table.flags.writeable = False
 
-    @property
-    def message_len(self) -> int:
-        return self.spec.k
-
-    @property
-    def block_len(self) -> int:
-        return self.spec.n
+    def transmitted_words(self) -> np.ndarray:
+        """Every word as it appears on the channel, read-only; row r carries
+        message value 2^k - 1 - r, the order of message_matrix(k)."""
+        return self._table
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
         k = self.spec.k

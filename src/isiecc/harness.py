@@ -4,8 +4,9 @@ Two baselines are built in, both repetition codes with majority decoding:
 uncoded transmission (one slot per bit) and the rate-1/3 repetition code (the
 distance-3 single error corrector of length 3).  Other published comparison
 codes live in external references and are intentionally not reimplemented
-here.  Every code, baseline or proposed, is a StreamCoder, so the
-experiments never ask which one they hold.
+here.  Every code, baseline or proposed, offers the same members (label,
+post_encoding_label, message_len, block_len, encode, decode and
+transmitted_words), so the experiments never ask which one they hold.
 
 Every run is reproducible: _blocks, the one block rule, splits trials into
 blocks reduced in block order, so CSV bytes do not depend on the worker
@@ -56,28 +57,21 @@ from .codec import BatchCodec
 DEFAULT_BLOCK_SIZE = 25_000
 
 
-class StreamCoder:
-    """What the experiments ask of a code: encode and decode word matrices
-    (message_len bits in, block_len slots out), the words it puts on the
-    channel, and its post_encoding CSV label."""
-
-    post_encoding_label = "na"
-
-    def transmitted_words(self) -> np.ndarray:
-        """Every word as it appears on the channel, one per message."""
-        return self.encode(message_matrix(self.message_len))
-
-
-class RepetitionStream(StreamCoder):
+class RepetitionStream:
     """Repetition coder over one message bit per word: the bit is sent
     block_len times and decoded by a majority of the block's slots, so
     block_len 1 is uncoded transmission."""
 
     message_len = 1
+    post_encoding_label = "na"
 
     def __init__(self, label: str, block_len: int):
         self.label = label
         self.block_len = block_len
+
+    def transmitted_words(self) -> np.ndarray:
+        """Both words as they appear on the channel, 1 first."""
+        return self.encode(message_matrix(1))
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
         return np.repeat(msgs, self.block_len, axis=-1)
@@ -88,16 +82,7 @@ class RepetitionStream(StreamCoder):
         return (words.reshape(-1, n).sum(axis=1, keepdims=True) > n // 2).astype(np.uint8)
 
 
-class CkmStreamCode(StreamCoder, BatchCodec):
-    """Proposed code wrapped for streaming, transmit swaps on by default."""
-
-    def __init__(self, k: int, m: int, post_encoding: bool = True):
-        super().__init__(build_codebook(k, m), post_encoding=post_encoding)
-        self.label = f"ckm:{k},{m}"
-        self.post_encoding_label = "true" if post_encoding else "false"
-
-
-def make_coder(label: str, post_encoding: bool = True) -> StreamCoder:
+def make_coder(label: str, post_encoding: bool = True) -> RepetitionStream | BatchCodec:
     """Build a coder from its CLI label: ckm:K,M, uncoded, or rep3."""
     repeats = {"uncoded": 1, "rep3": 3}.get(label)
     if repeats:
@@ -107,7 +92,7 @@ def make_coder(label: str, post_encoding: bool = True) -> StreamCoder:
             k, m = (int(part) for part in label[4:].split(","))
         except ValueError as exc:
             raise ValueError(f"bad code label {label!r}; expected ckm:K,M") from exc
-        return CkmStreamCode(k, m, post_encoding=post_encoding)
+        return BatchCodec(build_codebook(k, m), post_encoding=post_encoding)
     raise ValueError(f"unknown code label {label!r}")
 
 
@@ -162,7 +147,7 @@ def _config_echo(config: ExperimentConfig, kind: str) -> dict:
     }
 
 
-def _coders(config: ExperimentConfig) -> list[StreamCoder]:
+def _coders(config: ExperimentConfig) -> list[RepetitionStream | BatchCodec]:
     """The config's coders; a code selected twice (by label) is rejected."""
     coders = [make_coder(label, post_encoding=config.post_encoding) for label in config.codes]
     labels = [coder.label for coder in coders]

@@ -12,6 +12,7 @@ from isiecc import (
     detection_threshold,
     expected_isi,
     make_coder,
+    message_matrix,
     run_ber_experiment,
     run_isi_experiment,
     slot_law,
@@ -21,12 +22,7 @@ from isiecc import (
 )
 from isiecc import channel, harness
 from isiecc.bits import bits_to_str, parse_bits
-from isiecc.harness import (
-    CkmStreamCode,
-    ber_point,
-    manifest_text,
-    report_csv_text,
-)
+from isiecc.harness import ber_point, manifest_text, report_csv_text
 
 
 REP3 = make_coder("rep3")
@@ -104,6 +100,31 @@ class TestCoders:
         msgs = np.array([[1, 1, 1, 1]], dtype=np.uint8)
         assert not (raw.encode(msgs) == swapped.encode(msgs)).all()
 
+    @pytest.mark.parametrize(
+        "label, post_encoding, expected",
+        [
+            ("uncoded", True, ("na", 1, 1)),
+            ("rep3", True, ("na", 1, 3)),
+            ("ckm:4,5", True, ("true", 4, 10)),
+            ("ckm:4,5", False, ("false", 4, 10)),
+            ("ckm:16,30", True, ("true", 16, 47)),
+        ],
+    )
+    def test_every_coder_offers_the_protocol(self, label, post_encoding, expected):
+        # the members the experiments use: label, post_encoding_label,
+        # message_len, block_len, encode, decode and transmitted_words
+        coder = make_coder(label, post_encoding=post_encoding)
+        assert coder.label == label
+        assert (coder.post_encoding_label, coder.message_len, coder.block_len) == expected
+        msgs = message_matrix(coder.message_len)
+        words = coder.transmitted_words()
+        assert words.dtype == np.uint8
+        assert np.array_equal(words, coder.encode(msgs))
+        assert np.array_equal(coder.decode(words), msgs)
+        if label.startswith("ckm:"):
+            with pytest.raises(ValueError, match="read-only"):
+                words[0, 0] ^= 1
+
 
 class TestBlockPlan:
     @pytest.mark.parametrize(
@@ -159,7 +180,7 @@ class TestIsiExperiment:
         assert report.manifest["experiment"] == "isi"
         assert len(report.rows) == 10
         profile = slot_probs(params_03)
-        coder = CkmStreamCode(4, 5, post_encoding=True)
+        coder = make_coder("ckm:4,5")
         words = coder.transmitted_words()
         last = report.rows[-1]
         assert last["position"] == 10
@@ -203,8 +224,9 @@ class TestIsiExperiment:
         # the transmitted words' per-position densities.  Each call below
         # runs one default-size block on its own seed; the tolerance, 5
         # standard errors of the 16 block means, was fixed before the first
-        # run.  Each block starts after L silent slots, which lowers its mean
-        # by at most 0.004 molecules here, under a tenth of a standard error.
+        # run.  Each block starts on an empty channel, no molecules sent
+        # before its first slot, which lowers its mean by at most 0.004
+        # molecules here, under a tenth of a standard error.
         coder = make_coder(label)
         profile = slot_probs(params_03)
         densities = coder.transmitted_words().mean(axis=0)
@@ -359,20 +381,23 @@ class TestBerExperiments:
         ):
             channel._transport_tables.cache_clear()
             run_ber_experiment(small_config(params_03, sweep=sweep, trials=500), kind)
-            assert channel._transport_tables.cache_info().misses == table_pairs, kind
+            info = channel._transport_tables.cache_info()
+            assert info.misses == table_pairs and info.currsize == 1, kind
 
     @pytest.mark.parametrize("pilot_slots", [0, 10_000])
     @pytest.mark.parametrize("points", [16, 17])
     def test_long_sweep_builds_each_table_once(self, params_03, points, pilot_slots):
         # a point's threshold, pilot included, and all its blocks run before
-        # the next point's, so past the 16 cached tables each is built once
+        # the next point's, so the one cached table pair is the live point's
+        # and each is built once
         sweep = tuple(100.0 + 20 * i for i in range(points))
         config = small_config(
             params_03, codes=("uncoded",), sweep=sweep, trials=200, pilot_slots=pilot_slots
         )
         channel._transport_tables.cache_clear()
         run_ber_experiment(config, "ber-m")
-        assert channel._transport_tables.cache_info().misses == points
+        info = channel._transport_tables.cache_info()
+        assert info.misses == points and info.currsize == 1
 
     def test_noise_sweep_tables_are_noise_free(self, params_03, monkeypatch):
         seen, build = [], channel._transport_tables
@@ -482,6 +507,43 @@ class TestBerExperiments:
         single = small_config(params_03, codes=("ckm:4,5", "rep3"), sweep=(float(params_03.M),))
         noise_rows = run_ber_experiment(noise, "ber-noise").rows
         assert run_ber_experiment(single, "ber-m").rows == (noise_rows[0], noise_rows[2])
+
+    @pytest.mark.parametrize(
+        "kind, sweep, overrides",
+        [("ber-m", 300.0, {}), ("ber-noise", 60.0, {}), ("ber-m", 300.0, {"L": 3})],
+    )
+    def test_uncoded_ber_matches_the_exact_slot_law(self, params_03, kind, sweep, overrides):
+        # end to end against an independent law: an uncoded bit is one slot,
+        # so its exact BER at the row's threshold is P(count + noise < theta
+        # | 1) / 2 + P(count + noise >= theta | 0) / 2 over the i.i.d. slot
+        # law; the bound, 4 binomial standard errors, was fixed before the
+        # first run.  Blocks start on an empty channel, so the first L - 1
+        # slots of each 25,000-slot block see less interference; that raises
+        # the expected BER by 0.39 SE at L = 40, 0.22 SE at sigma_n2 = 60 and
+        # under 0.01 SE at L = 3, computed from the same law.
+        base = replace(params_03, **overrides)
+        config = small_config(
+            base,
+            codes=("uncoded",),
+            sweep=(sweep,),
+            trials=2_000_000,
+            workers=2,
+            seed=7,
+            block_size=harness.DEFAULT_BLOCK_SIZE,
+        )
+        (row,) = run_ber_experiment(config, kind).rows
+        point = replace(base, **{harness.BER_SWEEPS[kind]: sweep})
+        off, on = slot_law(point, [0.5] * (point.L - 1))
+        theta = row["threshold"]
+        if point.sigma_n2 > 0:
+            root = math.sqrt(2.0 * point.sigma_n2)
+            above = np.array([math.erfc((theta - c) / root) / 2 for c in range(on.size)])
+        else:
+            above = (np.arange(on.size) >= theta).astype(np.float64)
+        exact = float(on @ (1.0 - above) + off @ above) / 2
+        se = math.sqrt(exact * (1.0 - exact) / row["bits_sent"])
+        assert row["bits_sent"] == 2_000_000
+        assert abs(row["ber"] - exact) <= 4 * se, (row["ber"], exact)
 
 
 class TestReportOutput:
