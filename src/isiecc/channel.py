@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -289,11 +290,13 @@ def _transport_tables(point: ChannelParams):
     return emission, GuideTable(p[1:], np.arange(1, L)) if L > 1 else None
 
 
-# emissions per chunk of tail molecules (~66 each at M=300, L=40, so ~0.5 MB of
-# molecule arrays).  Cells form one stream (emissions first, then molecules)
-# whose unused cells carry to the next chunk, and fix-up words come from their
-# own stream, so the counts do not depend on this size.
-TRANSPORT_CHUNK = 1 << 10
+# tail molecules per chunk, on average over a call's emissions (~0.5 MB of
+# molecule arrays at any M and L).  Cells form one stream (emissions first,
+# then molecules) whose unused cells carry to the next chunk, and fix-up words
+# come from their own stream, so the counts do not depend on this size.
+TRANSPORT_CHUNK = 1 << 16
+# one table lookup at a time: workers missing the cache together wait for one build
+_TABLES_LOCK = threading.Lock()
 
 
 def transmit_counts(
@@ -315,9 +318,8 @@ def transmit_counts(
     S = int(tx_bits.size)
     counts = np.zeros(S + L, dtype=np.float64)
     ones = np.flatnonzero(tx_bits)
-    if params.M == 0 or not ones.size:
-        return counts[:S]
-    emission, lags = _transport_tables(replace(params, sigma_n2=0.0))
+    with _TABLES_LOCK:
+        emission, lags = _transport_tables(replace(params, sigma_n2=0.0))
     fixup = np.random.PCG64(rng.bit_generator.random_raw()).random_raw
     cells = rng.bit_generator.random_raw((ones.size + 3) // 4).view(np.uint16)
     drawn = emission.sample(cells[: ones.size], fixup)
@@ -329,8 +331,9 @@ def transmit_counts(
         return counts[:S]
     tail = drawn >> shift
     cells = cells[ones.size :]
-    for lo in range(0, ones.size, TRANSPORT_CHUNK):
-        pos, n = ones[lo : lo + TRANSPORT_CHUNK], tail[lo : lo + TRANSPORT_CHUNK]
+    step = max(1, TRANSPORT_CHUNK * ones.size // max(1, int(tail.sum())))
+    for lo in range(0, ones.size, step):
+        pos, n = ones[lo : lo + step], tail[lo : lo + step]
         base = int(pos[0])
         span = int(pos[-1]) - base + L
         need = int(n.sum())

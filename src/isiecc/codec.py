@@ -21,12 +21,11 @@ from .codebook import Codebook, CodeSpec, rank_stack, stack_codewords, value_bit
 
 
 def swap_pairs(k: int) -> tuple[tuple[int, int], ...]:
-    """1-based position pairs (ceil(k/2)+t, k+t) for odd t, exchanged before
-    transmission.  Empty for k < 2, where the schedule degenerates."""
+    """1-based position pairs (ceil(k/2)+t, k+t) for odd t <= k/2, exchanged
+    before transmission.  Empty for k < 2, where the schedule degenerates."""
     if k < 1:
         raise ValueError("message length must be positive")
-    last = 2 * math.ceil((k // 2) / 2) - 1
-    return tuple((math.ceil(k / 2) + t, k + t) for t in range(1, last + 1, 2))
+    return tuple((math.ceil(k / 2) + t, k + t) for t in range(1, k // 2 + 1, 2))
 
 
 def swap_permutation(spec: CodeSpec) -> np.ndarray:

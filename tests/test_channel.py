@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import replace
@@ -262,6 +263,20 @@ class TestExpectedIsiMatchesMonteCarlo:
         assert empirical == pytest.approx(analytic, rel=0.02)
 
 
+def chunk_stream(params, seed) -> np.ndarray:
+    """I.i.d. equiprobable bits expected to send ~1.5 TRANSPORT_CHUNKs of
+    tail molecules (lags 2..L) at params."""
+    per_one = params.M * float(slot_probs(params)[1:].sum())
+    slots = int(3 * TRANSPORT_CHUNK / per_one)
+    return np.random.default_rng(seed).integers(0, 2, size=slots, dtype=np.uint8)
+
+
+def tail_molecules(tx, params) -> int:
+    """Tail molecules absorbed inside the pattern: a lower bound on those
+    transmit_counts draws for it."""
+    return int(transmit_counts(tx, params, np.random.default_rng(0), False).sum())
+
+
 class TestTransport:
     def test_no_molecules_means_silent_channel(self, params_03):
         bits = np.ones(50, dtype=np.uint8)
@@ -304,12 +319,15 @@ class TestTransport:
         assert (counts[tx == 0] == 0).all() and counts[tx == 1].max() > 0
 
     def test_counts_do_not_depend_on_draw_chunking(self, params_03, monkeypatch):
-        # ~1.5 default chunks of emissions, so a full and a partial chunk are drawn
-        tx = np.random.default_rng(4).integers(0, 2, size=3 * TRANSPORT_CHUNK, dtype=np.uint8)
-        emissions = int(tx.sum())
-        assert emissions > TRANSPORT_CHUNK
+        # ~1.5 default chunks of tail molecules, so a full and a partial chunk are drawn
+        tx = chunk_stream(params_03, 4)
+        emissions, tail = int(tx.sum()), tail_molecules(tx, params_03)
+        assert tail > TRANSPORT_CHUNK
         default = transmit_counts(tx, params_03, np.random.default_rng(8))
-        for chunk in (1, 7, emissions):
+        # 1 and 7 molecules and one below an emission's mean tail give one
+        # emission per chunk; then ~7 emissions, and every molecule sent
+        per_emission = tail // emissions
+        for chunk in (1, 7, per_emission - 1, 7 * per_emission, emissions * params_03.M):
             monkeypatch.setattr(channel, "TRANSPORT_CHUNK", chunk)
             counts = transmit_counts(tx, params_03, np.random.default_rng(8))
             assert (counts == default).all(), f"TRANSPORT_CHUNK={chunk}"
@@ -325,7 +343,8 @@ class TestTransport:
 
     def test_transport_ignores_noise(self, params_03):
         # noise is added after transport, so a point's tables need no sigma_n2
-        tx = np.random.default_rng(2).integers(0, 2, size=3 * TRANSPORT_CHUNK, dtype=np.uint8)
+        tx = chunk_stream(params_03, 2)
+        assert tail_molecules(tx, params_03) > TRANSPORT_CHUNK
         clean = transmit_counts(tx, replace(params_03, sigma_n2=0.0), np.random.default_rng(4))
         noisy = transmit_counts(tx, replace(params_03, sigma_n2=50.0), np.random.default_rng(4))
         assert clean.sum() > 0 and (clean == noisy).all()
@@ -334,16 +353,35 @@ class TestTransport:
     @pytest.mark.parametrize("include_own_slot", [True, False])
     def test_silent_prefix_only_shifts_counts(self, params_03, L, include_own_slot):
         # zeros emit nothing and no draw depends on where a slot sits, so L
-        # leading zeros shift the counts draw for draw; more emissions than
-        # one chunk, so the carried cells cross a chunk boundary too
+        # leading zeros shift the counts draw for draw; more tail molecules
+        # than one chunk at L = 40, so the carried cells cross a chunk boundary too
         params = replace(params_03, L=L)
-        tx = np.random.default_rng(4).integers(0, 2, size=3 * TRANSPORT_CHUNK, dtype=np.uint8)
-        assert tx.sum() > TRANSPORT_CHUNK
+        tx = chunk_stream(params_03, 4)
+        assert tail_molecules(tx, params_03) > TRANSPORT_CHUNK
         padded = np.concatenate([np.zeros(L, dtype=np.uint8), tx])
         plain = transmit_counts(tx, params, np.random.default_rng(8), include_own_slot)
         shifted = transmit_counts(padded, params, np.random.default_rng(8), include_own_slot)
         assert (shifted[:L] == 0).all()
         assert (shifted[L:] == plain).all()
+        # an all-zero pattern, or no molecules per 1-bit, sends nothing
+        for sent, point in ((np.zeros_like(tx), params), (tx, replace(params, M=0))):
+            counts = transmit_counts(sent, point, np.random.default_rng(8), include_own_slot)
+            assert counts.shape == tx.shape and not counts.any()
+
+    def test_transport_memory_does_not_grow_with_molecules(self, params_03):
+        # a chunk holds TRANSPORT_CHUNK tail molecules whatever M is, so one
+        # call's arrays stay near 0.5 MB, plus ~0.2 MB of counts for 25,000
+        # slots; the 4 MB bound was fixed before the first run
+        params = replace(params_03, M=5_000)
+        tx = np.random.default_rng(3).integers(0, 2, size=25_000, dtype=np.uint8)
+        channel._transport_tables(params)  # built before tracing starts
+        tracemalloc.start()
+        try:
+            transmit_counts(tx, params, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB"
 
     def test_observation_sends_only_the_bits_given(self, params_03):
         # no slot precedes the pattern: its counts, then its noise, come

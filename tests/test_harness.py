@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -383,6 +384,24 @@ class TestBerExperiments:
             run_ber_experiment(small_config(params_03, sweep=sweep, trials=500), kind)
             info = channel._transport_tables.cache_info()
             assert info.misses == table_pairs and info.currsize == 1, kind
+
+    def test_concurrent_workers_build_each_table_once(self, params_03, monkeypatch):
+        # a slow build overlaps both workers' first blocks of every group;
+        # the second worker must wait for the first's table, not build its own
+        probs = channel.slot_probs
+
+        def slow_probs(point):
+            time.sleep(0.05)
+            return probs(point)
+
+        monkeypatch.setattr(channel, "slot_probs", slow_probs)
+        sweep = (150.0, 200.0, 250.0)
+        config = small_config(
+            params_03, codes=("uncoded",), sweep=sweep, trials=500, block_size=250, workers=2
+        )
+        channel._transport_tables.cache_clear()
+        run_ber_experiment(config, "ber-m")
+        assert channel._transport_tables.cache_info().misses == 3
 
     @pytest.mark.parametrize("pilot_slots", [0, 10_000])
     @pytest.mark.parametrize("points", [16, 17])
