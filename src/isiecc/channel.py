@@ -111,6 +111,8 @@ def load_channel_config(path) -> tuple[ChannelParams, int]:
     # the ChannelParams fields in order, L and M parsed as floats like the
     # rest so that ChannelParams judges any whole-number spelling
     params = ChannelParams(*(number(key) for key in CONFIG_KEYS[:-1]))
+    if not number("seed").is_integer():  # float first: "abc" keeps the message above
+        raise ValueError(f"{path}: seed must be a whole number, got {values['seed']!r}")
     return params, number("seed", int)
 
 
@@ -277,7 +279,7 @@ def _transport_tables(point: ChannelParams):
     log_p = log_pmf(M, x, p1)
     x, log_p = x[log_p > LOG_FLOOR], log_p[log_p > LOG_FLOOR]
     t = np.zeros_like(x)
-    if q > 0:
+    if L > 1:
         n = M - x
         half = np.sqrt(n * (101 * math.log(2) + log_p) / 2)
         lo = np.maximum(np.ceil(n * q - half), 0).astype(np.int64)
@@ -324,12 +326,11 @@ def transmit_counts(
     cells = rng.bit_generator.random_raw((ones.size + 3) // 4).view(np.uint16)
     drawn = emission.sample(cells[: ones.size], fixup)
     shift = params.M.bit_length()
+    tail = drawn >> shift
     if include_own_slot:
-        # every value is below its dtype's max, which at L = 1 can be below the mask
-        counts[ones] += drawn & min((1 << shift) - 1, np.iinfo(drawn.dtype).max)
+        counts[ones] += drawn - (tail << shift)
     if lags is None:
         return counts[:S]
-    tail = drawn >> shift
     cells = cells[ones.size :]
     step = max(1, TRANSPORT_CHUNK * ones.size // max(1, int(tail.sum())))
     for lo in range(0, ones.size, step):
@@ -379,12 +380,12 @@ def slot_law(point: ChannelParams, weights) -> tuple[np.ndarray, np.ndarray]:
     1, when the bit g slots back is 1 with probability weights[g - 1], g = 1
     .. L-1, independently: the pgf prod_d (1 - w_d + w_d (1 - p_d + p_d z)^M)
     over lags d = 1 .. L, with w_1 = 0 or 1 and w_{g+1} = weights[g - 1].
-    Each Bin(M, p_d) is cut below 2^-100, as the transport tables are; the
-    convolutions add positive terms only, so the pmfs carry no rounding floor."""
+    Each Bin(M, p_d) and convolution sheds only its upper tail below 2^-100;
+    all terms are positive, so the pmfs carry no rounding floor."""
     p, M = slot_probs(point), point.M
     log_pmf, counts = _binomial_log_pmf(M), np.arange(M + 1)
 
-    def cut(pmf):  # drop the tail below the floor
+    def cut(pmf):  # drop the upper tail below the floor
         return pmf[: np.flatnonzero(pmf > math.exp(LOG_FLOOR))[-1] + 1]
 
     off = np.ones(1)

@@ -29,7 +29,7 @@ from .channel import load_channel_config
 from .codebook import CodeSpec, build_codebook, export_codebook_csv
 from .codec import decode, encode
 from .harness import (
-    BER_RUN_KEYS,
+    BER_KEYS,
     ExperimentConfig,
     run_ber_experiment,
     run_isi_experiment,
@@ -51,11 +51,13 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
     span = (hi - lo) / step + 1e-9
     if not math.isfinite(span):
         raise argparse.ArgumentTypeError(f"sweep point count must be finite, got {text!r}")
-    count = math.floor(span) + 1
-    values = tuple(round(lo + i * step, 9) for i in range(count))
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise argparse.ArgumentTypeError(f"sweep step {step:g} repeats values at 9 decimals")
-    return values
+    values = []
+    for i in range(math.floor(span) + 1):  # checked as made: a repeat stops at once
+        value = round(lo + i * step, 9)
+        if values and value <= values[-1]:
+            raise argparse.ArgumentTypeError(f"sweep step {step:g} repeats values at 9 decimals")
+        values.append(value)
+    return tuple(values)
 
 
 def _add_code_args(sub: argparse.ArgumentParser) -> None:
@@ -125,10 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _experiment_config(args) -> ExperimentConfig:
     params, file_seed = load_channel_config(args.config)
-    # sweep and run flags exist on ber-m/ber-noise only; unset run flags not at all
-    ber_run = {
-        key: getattr(args, key) for key in ("sweep", *BER_RUN_KEYS) if hasattr(args, key)
-    }
+    # BER flags exist on ber-m/ber-noise only; unset ones other than --sweep not at all
+    ber_run = {key: getattr(args, key) for key in BER_KEYS if hasattr(args, key)}
     return ExperimentConfig(
         codes=tuple(args.code),
         channel=params,

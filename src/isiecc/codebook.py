@@ -18,8 +18,10 @@ and thereby reduces the intersymbol interference the code induces on itself.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import TextIO
 
 import numpy as np
@@ -82,10 +84,10 @@ def message_matrix(k: int) -> np.ndarray:
     return value_bits(np.arange((1 << k) - 1, -1, -1), k)
 
 
-def _class_starts(m: int) -> np.ndarray:
+def _class_starts(m: int) -> list[int]:
     """Stack row where each weight class of m-bit words starts (index m + 1
-    is the stack length 2^m)."""
-    return np.concatenate([[0], np.cumsum([math.comb(m, i) for i in range(m + 1)])])
+    is the stack length 2^m), exact at any m."""
+    return [0, *accumulate(math.comb(m, i) for i in range(m + 1))]
 
 
 def _ones_blocks(m: int) -> np.ndarray:
@@ -109,7 +111,7 @@ def unrank_stack(rows, m: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64).ravel()
     if rows.size and not (0 <= rows.min() and rows.max() < 1 << m):
         raise ValueError(f"stack rows must lie in [0, 2^{m})")
-    starts = _class_starts(m)
+    starts = np.array(_class_starts(m), dtype=np.int64)
     ones = _ones_blocks(m)
     weight = np.searchsorted(starts, rows, side="right") - 1
     rank = rows - starts[weight]
@@ -131,7 +133,7 @@ def rank_stack(words) -> np.ndarray:
     m = words.shape[1]
     ones = _ones_blocks(m)
     weight = words.sum(axis=1, dtype=np.int64)
-    rows = _class_starts(m)[weight]
+    rows = np.array(_class_starts(m), dtype=np.int64)[weight]
     for j in range(m):
         bit = words[:, j]
         rows += np.where(bit, 0, ones[m - 1 - j, weight])
@@ -144,13 +146,7 @@ def parity_weight_cap(k: int, m: int) -> int:
     least 2^k rows.  Defined for m > k; equals ceil(k/2) when m = k + 1."""
     if m <= k:
         raise ValueError(f"parity weight cap requires m > k, got k={k}, m={m}")
-    total, tau = 0, 0
-    need = 1 << k
-    while True:
-        total += math.comb(m, tau)
-        if need <= total:
-            return tau
-        tau += 1
+    return bisect_left(_class_starts(m), 1 << k) - 1
 
 
 def stack_codewords(rows, spec: CodeSpec) -> np.ndarray:

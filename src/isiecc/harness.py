@@ -128,12 +128,11 @@ class TrialReport:
     manifest: dict = field(compare=False)
 
 
-# ExperimentConfig fields only BER sweeps take
-BER_RUN_KEYS = ("workers", "block_size", "pilot_slots")
+# ExperimentConfig fields only BER sweeps take, sweep first; isi rejects any off its default
+BER_KEYS = ("sweep", "workers", "block_size", "pilot_slots")
 
 
 def _config_echo(config: ExperimentConfig, kind: str) -> dict:
-    ber_run = BER_RUN_KEYS if kind != "isi" else ()
     return {
         "experiment": kind,
         "codes": ",".join(config.codes),
@@ -142,7 +141,7 @@ def _config_echo(config: ExperimentConfig, kind: str) -> dict:
         "trials": config.trials,
         "sweep": ",".join(_fmt(v) for v in config.sweep),
         "post_encoding": config.post_encoding,
-        **{key: getattr(config, key) for key in ber_run},
+        **{key: getattr(config, key) for key in BER_KEYS[1:] if kind != "isi"},
         "version": _version,
     }
 
@@ -206,8 +205,9 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
     reported in molecules (scaled by M).
     """
     t0 = time.monotonic()
-    if config.sweep:
-        raise ValueError(f"isi runs no sweep, got {config.sweep}")
+    for key in BER_KEYS:  # a dataclass keeps each field's default on the class
+        if getattr(config, key) != getattr(ExperimentConfig, key):
+            raise ValueError(f"isi takes no {key}, got {getattr(config, key)}")
     params = config.channel
     profile = slot_probs(params)
     coders = _coders(config)

@@ -110,6 +110,11 @@ class TestSlotProbs:
         expected = hitting_prob(0.6, params_03) - hitting_prob(0.3, params_03)
         assert profile_03[1] == pytest.approx(expected, abs=0)
 
+    def test_vanishing_slot_rejected(self, params_03):
+        # at D = 1e-6 no molecule arrives within L slots: every p_i is 0
+        with pytest.raises(ValueError, match="slot probabilities must all be positive"):
+            slot_probs(replace(params_03, D=1e-6))
+
 
 class TestIsiOfSequence:
     """expected_isi of one 1-D word: that word's own interference."""
@@ -175,6 +180,11 @@ class TestStreamingIsi:
             unrolled[pos - 1 - g] * p[g] for g in range(1, len(p))
         )
         assert streaming_expected_isi(dens, 2, profile_03) == pytest.approx(direct, abs=1e-14)
+
+    @pytest.mark.parametrize("position", [0, 4])
+    def test_position_out_of_range(self, profile_03, position):
+        with pytest.raises(ValueError, match=f"position {position} outside 1..3"):
+            streaming_expected_isi(np.full(3, 0.5), position, profile_03)
 
     def test_uniform_density_closed_form(self, profile_03):
         val = streaming_expected_isi(np.full(3, 0.5), 3, profile_03)
@@ -971,6 +981,19 @@ class TestChannelConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             replace(params_03, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("D", 0.0, "D and ts must be positive"),
+            ("ts", -0.3, "D and ts must be positive"),
+            ("M", -1, "M and sigma_n2 must be non-negative"),
+            ("sigma_n2", -1.0, "M and sigma_n2 must be non-negative"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, params_03, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(params_03, **{field: value})
+
     def test_molecules_above_cap_rejected(self, params_03):
         cap = channel.MAX_MOLECULES
         assert replace(params_03, M=cap).M == cap
@@ -1003,6 +1026,30 @@ class TestChannelConfig:
         with pytest.raises(ValueError) as err:
             load_channel_config(cfg)
         assert str(err.value) == f"{cfg}: {key} must be a number, got 'abc'"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("M 300", "expected 'key = value', got 'M 300'"), ("M = 300", "duplicate key 'M'")],
+    )
+    def test_malformed_line_rejected(self, tmp_path, line, message):
+        cfg = tmp_path / "chan.cfg"
+        cfg.write_text(CONFIG_TEXT + line + "\n")
+        with pytest.raises(ValueError) as err:
+            load_channel_config(cfg)
+        assert str(err.value) == f"{cfg}:9: {message}"
+
+    def test_fractional_seed_rejected(self, tmp_path):
+        cfg = tmp_path / "chan.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("seed = 33", "seed = 1.5"))
+        with pytest.raises(ValueError) as err:
+            load_channel_config(cfg)
+        assert str(err.value) == f"{cfg}: seed must be a whole number, got '1.5'"
+
+    def test_large_seed_loads_exactly(self, tmp_path):
+        # the whole-number check parses a float, the seed itself an int
+        cfg = tmp_path / "chan.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("seed = 33", f"seed = {2**70 + 1}"))
+        assert load_channel_config(cfg)[1] == 2**70 + 1
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):

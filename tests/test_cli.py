@@ -1,5 +1,6 @@
 import argparse
 import shlex
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -114,6 +115,19 @@ class TestSweepParsing:
     )
     def test_shipped_style_sweeps(self, text, values):
         assert _parse_sweep(text) == values
+
+    @pytest.mark.parametrize("text", ["1:2", "1:2:3:4", "a:b:c", ""])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="expected lo:hi:step"):
+            _parse_sweep(text)
+
+    def test_repeating_step_stops_at_the_first_repeat(self):
+        # 10^7 points at a step below the 9-decimal rounding: the second value
+        # already repeats the first, so nothing past it is made
+        start = time.perf_counter()
+        with pytest.raises(argparse.ArgumentTypeError, match="step 1e-10 repeats values"):
+            _parse_sweep("0:1e-3:1e-10")
+        assert time.perf_counter() - start < 1.0
 
     def test_fine_step_stops_at_hi(self):
         assert _parse_sweep("0:3e-9:1e-9") == (0.0, 1e-9, 2e-9, 3e-9)

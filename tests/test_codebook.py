@@ -19,7 +19,7 @@ from isiecc import (
     verify_min_distance,
 )
 from isiecc.bits import bits_to_str
-from isiecc.codebook import MAX_K, MAX_M, unrank_stack
+from isiecc.codebook import MAX_K, MAX_M, _class_starts, unrank_stack
 
 # the (8,8,3) reference codebook, rows r=1..8 as (message, parity, extra)
 REFERENCE_38 = [
@@ -145,6 +145,27 @@ class TestParityWeightCap:
                 pairs += 1
         assert pairs == 590
 
+    def test_matches_binomial_loop_past_supported_m(self):
+        # design_for_rate asks for caps at m beyond MAX_M, where the class
+        # starts pass 2^63
+        def loop(k, m):
+            total, tau = 0, 0
+            while True:
+                total += math.comb(m, tau)
+                if total >= 1 << k:
+                    return tau
+                tau += 1
+
+        for k in range(1, 21):
+            for m in range(k + 1, 101):
+                assert parity_weight_cap(k, m) == loop(k, m), (k, m)
+
+    def test_class_starts_exact_past_int64(self):
+        # an int64 running sum would wrap from m = 63 on
+        starts = _class_starts(64)
+        assert starts[-1] == 2**64
+        assert starts == [sum(math.comb(64, j) for j in range(w)) for w in range(66)]
+
 
 class TestCodeSpec:
     @pytest.mark.parametrize(
@@ -222,6 +243,11 @@ class TestMinDistance:
 
     def test_single_codeword_sentinel(self):
         assert verify_min_distance(np.array([[0, 1, 0]])) == math.inf
+
+    @pytest.mark.parametrize("words", [np.zeros((0, 3)), np.zeros(3)], ids=["no-rows", "1-D"])
+    def test_empty_or_flat_input_rejected(self, words):
+        with pytest.raises(ValueError, match="non-empty matrix"):
+            verify_min_distance(words)
 
 
 class TestColumnWeights:
@@ -308,6 +334,11 @@ class TestRateDesign:
         with pytest.raises(ValueError):
             design_for_rate(Fraction(1, 2), 7)
 
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_k_max_below_one_rejected(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            design_for_rate(Fraction(1, 5), k_max)
+
     def test_candidates_achieve_exact_rate(self):
         for k, m, _ in design_for_rate(Fraction(1, 5), 7):
             assert Fraction(k, CodeSpec(k, m).n) == Fraction(1, 5)
@@ -365,6 +396,16 @@ class TestCodewordIsiBudget:
         word = np.zeros(30, dtype=np.uint8)
         word[:6] = 1
         assert codeword_isi_bound(word, profile_03, 2, 6)
+
+    def test_inputs_beyond_the_memory_rejected(self, profile_03):
+        from isiecc import codeword_isi_bound
+
+        # a cap of L parity 1s, or a word of L + 1 slots, reaches past p_L
+        L = profile_03.size
+        with pytest.raises(ValueError, match="beyond the channel memory"):
+            codeword_isi_bound(np.zeros(30, dtype=np.uint8), profile_03, L, 6)
+        with pytest.raises(ValueError, match="longer than the slot profile"):
+            codeword_isi_bound(np.zeros(L + 1, dtype=np.uint8), profile_03, 2, 6)
 
 
 class TestCsvExport:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_decode, brute_encode, enumerate_weight_class
 from isiecc import BatchCodec, CodeSpec, build_codebook, decode, encode
-from isiecc.bits import bits_to_str, parse_bits
+from isiecc.bits import as_bits, bits_to_str, parse_bits
 from isiecc.codebook import MAX_K, MAX_M, rank_stack, unrank_stack
 from isiecc.codec import swap_pairs, swap_permutation
 
@@ -52,6 +52,11 @@ class TestSwapSchedule:
 
     def test_degenerate_small_k_empty(self):
         assert swap_pairs(1) == ()
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_non_positive_k_rejected(self, k):
+        with pytest.raises(ValueError, match="message length must be positive"):
+            swap_pairs(k)
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_pairs_disjoint_and_in_range(self, k):
@@ -161,6 +166,16 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode("0110", CodeSpec(3, 4))
 
+    @pytest.mark.parametrize(
+        "bits, message",
+        [([], "non-empty 1-D"), ([[0, 1, 1]], "non-empty 1-D"), ([0, 2, 1], "only 0 and 1")],
+    )
+    def test_malformed_bit_arrays_rejected(self, bits, message):
+        with pytest.raises(ValueError, match=message):
+            as_bits(bits)
+        with pytest.raises(ValueError, match=message):
+            encode(bits, CodeSpec(3, 4))
+
 
 class TestDecode:
     def test_no_error(self):
@@ -219,6 +234,15 @@ class TestBatchCodec:
         for u, w in zip(msgs, words):
             assert (w == brute_encode(u, spec, post_encoding=post)).all()
         assert (codec.decode(words) == msgs).all()
+
+    @pytest.mark.parametrize(
+        "method, shape", [("encode", (2, 5)), ("encode", (4,)), ("decode", (2, 9))]
+    )
+    def test_wrong_shape_rejected(self, method, shape):
+        codec = BatchCodec(build_codebook(4, 5))
+        width = 4 if method == "encode" else 10
+        with pytest.raises(ValueError, match=rf"expected shape \(N, {width}\)"):
+            getattr(codec, method)(np.zeros(shape, dtype=np.uint8))
 
     def test_batch_decode_single_flips(self):
         book = build_codebook(4, 5)

@@ -174,9 +174,14 @@ def small_config(params, **overrides):
     return ExperimentConfig(**defaults)
 
 
+# small_config overrides for isi, which takes no sweep and every other BER
+# setting at its default
+ISI = {"sweep": (), "block_size": harness.DEFAULT_BLOCK_SIZE}
+
+
 class TestIsiExperiment:
     def test_rows_and_analytic_column(self, params_03):
-        config = small_config(params_03, codes=("ckm:4,5",), trials=3_000, sweep=())
+        config = small_config(params_03, codes=("ckm:4,5",), trials=3_000, **ISI)
         report = run_isi_experiment(config)
         assert report.manifest["experiment"] == "isi"
         assert len(report.rows) == 10
@@ -197,7 +202,7 @@ class TestIsiExperiment:
 
     def test_zero_molecules_zero_isi(self, params_03):
         config = small_config(
-            replace(params_03, M=0), codes=("ckm:4,5", "rep3"), trials=500, sweep=()
+            replace(params_03, M=0), codes=("ckm:4,5", "rep3"), trials=500, **ISI
         )
         report = run_isi_experiment(config)
         for row in report.rows:
@@ -205,7 +210,7 @@ class TestIsiExperiment:
             assert row["expected_isi_mc"] == 0.0
 
     def test_first_position_analytic_zero(self, params_03):
-        config = small_config(params_03, codes=("uncoded",), trials=500, sweep=())
+        config = small_config(params_03, codes=("uncoded",), trials=500, **ISI)
         row = run_isi_experiment(config).rows[0]
         assert row["position"] == 1
         assert row["expected_isi_analytic"] == 0.0
@@ -214,7 +219,7 @@ class TestIsiExperiment:
     def test_code_longer_than_memory_fails_before_any_block(self, params_03, monkeypatch):
         blocks = []
         monkeypatch.setattr(harness, "_isi_mc_profile", lambda *args: blocks.append(args))
-        config = small_config(params_03, codes=("ckm:4,5", "ckm:16,30"), sweep=())
+        config = small_config(params_03, codes=("ckm:4,5", "ckm:16,30"), **ISI)
         with pytest.raises(ValueError, match=r"ckm:16,30 has n=47 .* L=40"):
             run_isi_experiment(config)
         assert blocks == []
@@ -279,14 +284,27 @@ class TestIsiExperiment:
     def test_sweep_rejected_before_any_block(self, params_03, monkeypatch):
         blocks = []
         monkeypatch.setattr(harness, "_isi_mc_profile", lambda *args: blocks.append(args))
-        config = small_config(params_03, codes=("uncoded",), sweep=(150.0, 225.0))
-        with pytest.raises(ValueError, match=r"isi runs no sweep, got \(150.0, 225.0\)"):
+        config = small_config(params_03, codes=("uncoded",), **{**ISI, "sweep": (150.0, 225.0)})
+        with pytest.raises(ValueError, match=r"isi takes no sweep, got \(150.0, 225.0\)"):
             run_isi_experiment(config)
         assert blocks == []
 
+    @pytest.mark.parametrize(
+        "key, value", [("workers", 2), ("block_size", 7), ("pilot_slots", 20_000)]
+    )
+    def test_ber_settings_rejected_before_any_transport(self, params_03, monkeypatch, key, value):
+        # isi runs one thread on default blocks with no pilot: a BER setting
+        # would change nothing, so naming one is an error, not a no-op
+        calls = []
+        monkeypatch.setattr(harness, "transmit_counts", lambda *args, **kw: calls.append(args))
+        config = small_config(params_03, codes=("rep3",), **{**ISI, key: value})
+        with pytest.raises(ValueError, match=f"^isi takes no {key}, got {value}$"):
+            run_isi_experiment(config)
+        assert calls == []
+
     def test_streamed_last_bit_below_repetition3(self, params_03):
         config = small_config(
-            params_03, codes=("ckm:4,5", "rep3"), trials=20_000, sweep=()
+            params_03, codes=("ckm:4,5", "rep3"), trials=20_000, **ISI
         )
         rows = run_isi_experiment(config).rows
         last = {
@@ -589,7 +607,7 @@ class TestReportOutput:
         assert "pilots = " not in text and "pilot_s = " not in text
 
     def test_reports_compare_by_rows_not_manifest(self, params_03):
-        config = small_config(params_03, codes=("uncoded",), trials=300, sweep=())
+        config = small_config(params_03, codes=("uncoded",), trials=300, **ISI)
         report = run_isi_experiment(config)
         assert report == replace(report, manifest={})
         assert manifest_text(replace(report, manifest={"a": 1.5, "b": "0.250"})) == (
@@ -597,7 +615,7 @@ class TestReportOutput:
         )
 
     def test_isi_csv_header(self, params_03, tmp_path):
-        config = small_config(params_03, codes=("uncoded",), trials=300, sweep=())
+        config = small_config(params_03, codes=("uncoded",), trials=300, **ISI)
         report = run_isi_experiment(config)
         text = report_csv_text(report)
         assert text.splitlines()[0] == (
@@ -667,7 +685,7 @@ class TestSeedLayout:
         config = small_config(
             params_03, codes=("uncoded",), trials=1_200, block_size=500, sweep=sweeps[kind]
         )
-        runs = [replace(config, trials=25_001)] if kind == "isi" else [config]
+        runs = [replace(config, trials=25_001, **ISI)] if kind == "isi" else [config]
         if kind != "isi":
             runs.append(replace(config, pilot_slots=10_000))
         for run, pilots in zip(runs, (0, 2)):
@@ -704,6 +722,12 @@ class TestConfigValidation:
     def test_needs_positive_trials(self, params_03):
         with pytest.raises(ValueError):
             small_config(params_03, trials=0)
+
+    @pytest.mark.parametrize("field", ["workers", "block_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_run_sizes_rejected(self, params_03, field, value):
+        with pytest.raises(ValueError, match="workers and block_size must be positive"):
+            small_config(params_03, **{field: value})
 
     def test_repeated_sweep_value_rejected(self, params_03):
         # two points at one value would compute two thresholds for one manifest line
