@@ -28,6 +28,7 @@ slot_law evaluates exactly.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import threading
@@ -105,15 +106,17 @@ def load_channel_config(path) -> tuple[ChannelParams, int]:
     def number(key, kind=float):
         try:
             return kind(values[key])
-        except ValueError:
+        except (ValueError, decimal.InvalidOperation):
             raise ValueError(f"{path}: {key} must be a number, got {values[key]!r}") from None
 
     # the ChannelParams fields in order, L and M parsed as floats like the
     # rest so that ChannelParams judges any whole-number spelling
     params = ChannelParams(*(number(key) for key in CONFIG_KEYS[:-1]))
-    if not number("seed").is_integer():  # float first: "abc" keeps the message above
+    seed = number("seed", decimal.Decimal)  # exact: 1e30 keeps every digit
+    # a finite whole number, its digits within int()'s own limit
+    if not (seed.is_finite() and seed == seed.to_integral_value() and seed.adjusted() < 4300):
         raise ValueError(f"{path}: seed must be a whole number, got {values['seed']!r}")
-    return params, number("seed", int)
+    return params, int(seed)
 
 
 def hitting_prob(t: float, params: ChannelParams) -> float:

@@ -185,13 +185,35 @@ def _map(workers: int, fn, jobs) -> list:
 # expected-ISI experiment
 
 
+def _lag_shares(p: np.ndarray, n: int) -> np.ndarray:
+    """(n, n + 1) multinomial probabilities of one emission's molecules over
+    the positions of an n-slot word: row i sums p_{g+1} over the lags g = 1 ..
+    L-1 that take position i to (i + g) mod n; its last entry is the rest,
+    the own slot and never absorbed."""
+    base = np.bincount(np.arange(1, p.size) % n, weights=p[1:], minlength=n)
+    share = np.array([np.roll(base, i) for i in range(n)])
+    return np.column_stack([share, 1.0 - share.sum(axis=1)])
+
+
 def _isi_mc_profile(coder, params: ChannelParams, trials: int, seed) -> np.ndarray:
-    """Monte Carlo per-position mean interference (molecules) in a stream."""
+    """Monte Carlo per-position mean interference (molecules) in a stream.
+
+    Only per-position totals are kept, so they are drawn from their exact
+    law.  In a block's words whose every lag lands inside the block, the 1s
+    at position i send Multinomial(M * ones_i, share_i) molecules to the
+    positions (_lag_shares): n draws per block.  The last ceil((L-1)/n)
+    words go through transport, which drops what lands past the block."""
     n = coder.block_len
+    share = _lag_shares(slot_probs(params), n)
+    tail = -(-(params.L - 1) // n)  # words whose lags may leave the block
     sums = np.zeros(n, dtype=np.float64)
     for job in _blocks(trials, DEFAULT_BLOCK_SIZE, n):
         _, tx, key = _block_stream(coder, seed, 0, job)
-        counts = transmit_counts(tx, params, np.random.default_rng(key), include_own_slot=False)
+        rng = np.random.default_rng(key)
+        cut = max(0, job[1] - tail) * n
+        ones = tx[:cut].reshape(-1, n).sum(axis=0, dtype=np.int64)
+        sums += rng.multinomial(params.M * ones, share)[:, :n].sum(axis=0)
+        counts = transmit_counts(tx[cut:], params, rng, include_own_slot=False)
         sums += counts.reshape(-1, n).sum(axis=0)
     return sums / trials
 

@@ -1046,10 +1046,33 @@ class TestChannelConfig:
         assert str(err.value) == f"{cfg}: seed must be a whole number, got '1.5'"
 
     def test_large_seed_loads_exactly(self, tmp_path):
-        # the whole-number check parses a float, the seed itself an int
         cfg = tmp_path / "chan.cfg"
         cfg.write_text(CONFIG_TEXT.replace("seed = 33", f"seed = {2**70 + 1}"))
         assert load_channel_config(cfg)[1] == 2**70 + 1
+
+    @pytest.mark.parametrize("text, seed", [("1e3", 1000), ("1e30", 10**30), ("2.0e1", 20)])
+    def test_seed_whole_number_spellings_load_exactly(self, tmp_path, text, seed):
+        cfg = tmp_path / "chan.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("seed = 33", f"seed = {text}"))
+        assert load_channel_config(cfg)[1] == seed
+
+    # 1e999999999 parses exactly but would take a ~400 MB int: past int()'s
+    # 4300-digit limit it is refused, as a float-parsed seed always was
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("6/2", "a number"),
+            ("nan", "a whole number"),
+            ("inf", "a whole number"),
+            ("1e999999999", "a whole number"),
+        ],
+    )
+    def test_seed_non_numbers_rejected(self, tmp_path, text, what):
+        cfg = tmp_path / "chan.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("seed = 33", f"seed = {text}"))
+        with pytest.raises(ValueError) as err:
+            load_channel_config(cfg)
+        assert str(err.value) == f"{cfg}: seed must be {what}, got {text!r}"
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):

@@ -251,35 +251,106 @@ class TestIsiExperiment:
 
     @pytest.mark.parametrize("label", ["rep3", "ckm:4,5"])
     def test_isi_block_is_the_ber_group_zero_block(self, params_03, label, monkeypatch):
-        # one block plan and one seed layout: isi block 0 sends the words of
-        # BER group 0's block 0 through the same transport draws, so at every
-        # 0-bit slot its interference is that block's noise-free observation
+        # one block plan and one seed layout: each isi block sends the words
+        # of the BER group-0 block of the same index, under its channel key
         point = replace(params_03, sigma_n2=0.0)
         config = small_config(
-            point, codes=(label,), trials=2_000, block_size=harness.DEFAULT_BLOCK_SIZE
+            point, codes=(label,), trials=32_768, block_size=harness.DEFAULT_BLOCK_SIZE
         )
         coder = make_coder(label)
-        seen = {}
+        seen = {"ber": [], "isi": []}
 
         def ber_stream(tx, points, rng_seed, thresholds):
-            seen["ber"] = tx, rng_seed
-            return channel.simulate_stream(tx, points, rng_seed, thresholds)
+            seen["ber"].append((tx, rng_seed))
+            return [np.zeros_like(tx)]
 
-        def isi_transport(tx, params, rng, include_own_slot=True):
-            seen["isi"] = tx, channel.transmit_counts(tx, params, rng, include_own_slot)
-            return seen["isi"][1]
+        def isi_stream(*args, _original=harness._block_stream):
+            msgs, tx, key = _original(*args)
+            seen["isi"].append((tx, key))
+            return msgs, tx, key
 
         monkeypatch.setattr(harness, "simulate_stream", ber_stream)
-        monkeypatch.setattr(harness, "transmit_counts", isi_transport)
         ber_point(coder, [point], 0, [1.0], config)
+        monkeypatch.setattr(harness, "_block_stream", isi_stream)
         harness._isi_mc_profile(coder, point, config.trials, config.seed)
-        tx, rng_seed = seen["ber"]
-        (observed,) = channel._observe(tx, [point], np.random.default_rng(rng_seed))
-        isi_tx, interference = seen["isi"]
-        assert (isi_tx == tx).all()
-        zeros = tx == 0
-        assert observed[zeros].sum() > 0
-        assert (interference[zeros] == observed[zeros]).all()
+        assert len(seen["isi"]) == len(seen["ber"]) == 2
+        for (tx, key), (isi_tx, isi_key) in zip(seen["ber"], seen["isi"]):
+            assert isi_key == key
+            assert (isi_tx == tx).all()
+
+    @pytest.mark.parametrize("label", ["rep3", "ckm:4,5"])
+    def test_isi_block_tail_goes_through_transport(self, params_03, label, monkeypatch):
+        # transport sees exactly each block's last ceil((L-1)/n) words, and
+        # its counts enter the sums bit for bit: 2^15 trials (two blocks)
+        # divide exactly.  The spy always draws, so both runs draw alike.
+        coder = make_coder(label)
+        n, trials, seed = coder.block_len, 1 << 15, 5
+        tail = math.ceil((params_03.L - 1) / n)
+        seen, profiles = [], []
+        for keep in (True, False):
+
+            def transport(tx, params, rng, include_own_slot=True, _keep=keep):
+                counts = channel.transmit_counts(tx, params, rng, include_own_slot)
+                seen.append((tx, counts, include_own_slot))
+                return counts if _keep else np.zeros_like(counts)
+
+            monkeypatch.setattr(harness, "transmit_counts", transport)
+            profiles.append(harness._isi_mc_profile(coder, params_03, trials, seed))
+        jobs = harness._blocks(trials, harness.DEFAULT_BLOCK_SIZE, n)
+        assert len(jobs) == 2 and len(seen) == 4
+        for job, (tx, _, own) in zip(jobs * 2, seen):
+            assert own is False
+            assert (tx == harness._block_stream(coder, seed, 0, job)[1][-tail * n :]).all()
+        tails = sum(counts.reshape(-1, n).sum(axis=0) for _, counts, _ in seen[:2])
+        assert tails.sum() > 0
+        assert ((profiles[0] - profiles[1]) * trials == tails).all()
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 40])
+    @pytest.mark.parametrize("L", [1, 2, 40])
+    def test_lag_shares_match_a_loop_over_lags(self, params_03, L, n):
+        p = slot_probs(replace(params_03, L=L))
+        share = harness._lag_shares(p, n)
+        assert share.shape == (n, n + 1)
+        for i in range(n):
+            row = [0.0] * n
+            for g in range(1, L):  # a molecule g slots late lands on position i + g
+                row[(i + g) % n] += float(p[g])
+            assert share[i, :n].tolist() == row
+            assert math.fsum(share[i]) == pytest.approx(1.0, abs=1e-12)
+            assert share[i, n] >= p[0] - 1e-15  # the rest holds the own slot
+
+    @pytest.mark.parametrize("label", ["rep3", "ckm:4,5"])
+    def test_block_totals_follow_the_transport_law(self, params_03, label):
+        # oracle: per-position totals of one transport call over the whole
+        # block, on the same words.  300 seeds of one 100-word block, so the
+        # block tail weighs.  Bounds fixed before the first run: 5 standard
+        # errors of the paired mean difference, and of each covariance entry
+        # taken as the two sides' independent sampling errors added.
+        coder = make_coder(label)
+        n, trials, seeds = coder.block_len, 100, range(300)
+
+        def transported(seed):
+            _, tx, key = harness._block_stream(coder, seed, 0, (0, trials))
+            rng = np.random.default_rng(key)
+            counts = channel.transmit_counts(tx, params_03, rng, include_own_slot=False)
+            return counts.reshape(-1, n).sum(axis=0)
+
+        drawn = np.array([harness._isi_mc_profile(coder, params_03, trials, s) for s in seeds])
+        drawn *= trials
+        oracle = np.array([transported(s) for s in seeds])
+        diff = drawn - oracle
+        se = diff.std(axis=0, ddof=1) / math.sqrt(len(seeds))
+        assert (np.abs(diff.mean(axis=0)) <= 5 * se).all()
+        covs = [np.cov(side, rowvar=False).reshape(n, n) for side in (drawn, oracle)]
+        var = sum(np.outer(c.diagonal(), c.diagonal()) + c**2 for c in covs) / len(seeds)
+        assert (np.abs(covs[0] - covs[1]) <= 5 * np.sqrt(var)).all()
+
+    def test_memoryless_channel_zero_isi(self, params_03):
+        # at L = 1 no molecule lands in a later slot: both columns read 0
+        config = small_config(replace(params_03, L=1), codes=("uncoded",), trials=500, **ISI)
+        (row,) = run_isi_experiment(config).rows
+        assert row["expected_isi_analytic"] == 0.0
+        assert row["expected_isi_mc"] == 0.0
 
     def test_sweep_rejected_before_any_block(self, params_03, monkeypatch):
         blocks = []
