@@ -265,7 +265,7 @@ def _binomial_log_pmf(M: int):
     return log_pmf
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _transport_tables(point: ChannelParams):
     """(emission, lags) guide tables for one noise-free channel point, built
     at its first transport call.  `emission` is over one emission's own-slot
@@ -304,13 +304,18 @@ TRANSPORT_CHUNK = 1 << 16
 _TABLES_LOCK = threading.Lock()
 
 
+def _count_dtype(point: ChannelParams):
+    """Integer type of slot counts: a slot never holds more than M * L molecules."""
+    return np.int32 if point.M * point.L < 2**31 else np.int64
+
+
 def transmit_counts(
     tx_bits: np.ndarray,
     params: ChannelParams,
     rng: np.random.Generator,
     include_own_slot: bool = True,
 ) -> np.ndarray:
-    """Absorbed-molecule counts per slot for a 0/1 transmit pattern.
+    """Absorbed-molecule counts per slot, of _count_dtype, for a 0/1 pattern.
 
     Each 1 releases M molecules whose landing slots are multinomial over
     (p_1 .. p_L, never-absorbed), drawn as one joint table draw of the
@@ -321,7 +326,7 @@ def transmit_counts(
     """
     L = params.L
     S = int(tx_bits.size)
-    counts = np.zeros(S + L, dtype=np.float64)
+    counts = np.zeros(S + L, dtype=_count_dtype(params))
     ones = np.flatnonzero(tx_bits)
     with _TABLES_LOCK:
         emission, lags = _transport_tables(replace(params, sigma_n2=0.0))
@@ -354,12 +359,23 @@ def transmit_counts(
 
 def _observe(tx_bits: np.ndarray, points, rng: np.random.Generator):
     """Slot observations of tx_bits at each of `points`, which differ only in
-    sigma_n2: one transport draw, then each point's noise in one reused buffer."""
-    if len({replace(pt, sigma_n2=0.0) for pt in points}) != 1:
-        raise ValueError("observed points must differ in sigma_n2 only")
+    M and sigma_n2 and come in ascending M: transport at the first M, then
+    each higher M adds the molecules not yet sent into the running counts
+    (independent multinomials sum to the multinomial of their total), then
+    each noisy point's noise in one reused buffer.  A yielded array is valid
+    until the next one is drawn."""
+    if len({replace(pt, M=0, sigma_n2=0.0) for pt in points}) != 1:
+        raise ValueError("observed points must differ in M and sigma_n2 only")
+    if any(a.M > b.M for a, b in itertools.pairwise(points)):
+        raise ValueError("observed points must come in ascending M")
     counts = transmit_counts(tx_bits, points[0], rng)
-    buf = None  # allocated at the first noisy point, then reused
+    sent, buf = points[0].M, None  # buf is allocated at the first noisy point, then reused
     for pt in points:
+        if pt.M > sent:
+            if counts.dtype != _count_dtype(pt):  # the running sum outgrows int32
+                counts = counts.astype(np.int64)
+            counts += transmit_counts(tx_bits, replace(pt, M=pt.M - sent), rng)
+            sent = pt.M
         if pt.sigma_n2 > 0:
             buf = rng.standard_normal(counts.size, out=buf)
             buf *= math.sqrt(pt.sigma_n2)
@@ -369,8 +385,9 @@ def _observe(tx_bits: np.ndarray, points, rng: np.random.Generator):
 
 def simulate_stream(tx_bits, points, rng_seed, thresholds) -> list[np.ndarray]:
     """Per-slot decisions at each of `points`, `detect` at its threshold over
-    `_observe`, for a 0/1 pattern sent as one slot stream, each slot hit by
-    interference from the slots before it.  Identical seeds, same decisions."""
+    `_observe` (so ascending M), for a 0/1 pattern sent as one slot stream,
+    each slot hit by interference from the slots before it.  Identical
+    seeds, same decisions."""
     tx = np.asarray(tx_bits, dtype=np.uint8)
     if tx.size == 0:
         raise ValueError("need at least one transmitted slot")
@@ -437,13 +454,13 @@ def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> f
         raise ValueError("pilot must cover at least 10^4 slots")
     rng = np.random.default_rng(rng_seed)
     sent = rng.integers(0, 2, size=pilot_length, dtype=np.uint8)
-    counts = transmit_counts(sent, params, rng).astype(np.int64)
+    counts = transmit_counts(sent, params, rng)
     law = [np.bincount(counts[sent == bit], minlength=counts.max() + 1) for bit in (0, 1)]
     return detection_threshold(params, law)
 
 
 def detect(counts, threshold: float) -> np.ndarray:
-    """Per-slot decisions: 1 where the observation reaches the threshold."""
+    """Per-slot decisions: 1 where the count or noisy count reaches the threshold."""
     if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be non-negative, got {threshold}")
-    return (np.asarray(counts, dtype=np.float64) >= threshold).view(np.uint8)
+    return (np.asarray(counts) >= threshold).view(np.uint8)

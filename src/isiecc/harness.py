@@ -11,23 +11,23 @@ transmitted_words), so the experiments never ask which one they hold.
 Every run is reproducible: _blocks, the one block rule, splits trials into
 blocks reduced in block order, so CSV bytes do not depend on the worker
 count.  Every generator is seeded by (seed, index, role, block): role 1 is a
-block's messages and 2 its channel (index = group; `isi` is group 0), both
-keyed by _block_stream, the one block draw of BER and `isi`; role 0 is a
-sampled pilot's (index = point, block 0), run only with pilot_slots set.
+block's messages and 2 its channel (index = group, always 0), both keyed by
+_block_stream, the one block draw of BER and `isi`; role 0 is a sampled
+pilot's (index = point, block 0), run only with pilot_slots set.
 SeedSequence zero-pads a key shorter than 4 words, so (5, 1, 0) is (5, 1),
 but a longer key keeps its trailing zeros.  A seed of 2^32 or more spans
 two words, so its keys are one word longer than a smaller seed's and never
 equal them.
 
 BER is measured on decoded message bits by run_ber_experiment; its step,
-ber_point, runs one code over one group: the sweep points sharing a
-noise-free channel.  A `ber-m` point is a group of its own (group index =
-point index); a `ber-noise` sweep is one group, whose blocks draw words and
-transport once, then each point's noise in sweep order.  Blocks are encoded
-and decoded here; the channel only turns bit streams into slot decisions.
-Each point's detection threshold is the exact error-minimizing one of an
-uncoded slot, from one slot law per group, and is shared by all codes at
-that point (recorded in the CSV and manifest).
+ber_point, runs one code over one group: every sweep point, in ascending M.
+A block draws words once and transport once per molecule increment, each
+higher M adding the molecules the lower ones did not send, then each
+point's noise in sweep order.  Blocks are encoded and decoded here; the
+channel only turns bit streams into slot decisions.  Each point's detection
+threshold is the exact error-minimizing one of an uncoded slot, from one
+slot law per noise-free point, and is shared by all codes at that point
+(recorded in the CSV and manifest).
 """
 
 from __future__ import annotations
@@ -263,8 +263,8 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
 
 
 def ber_point(coder, points, group_idx, thresholds, config) -> list[int]:
-    """Bit errors of one code at each of `points`, which share one noise-free
-    channel and so each block's words and transport, over config.trials words."""
+    """Bit errors of one code at each of `points` (ascending M), which share
+    each block's words and transport, over config.trials words."""
 
     def block(job):
         msgs, tx, key = _block_stream(coder, config.seed, group_idx, job)
@@ -277,13 +277,14 @@ def ber_point(coder, points, group_idx, thresholds, config) -> list[int]:
 
 def _thresholds(group, pis, config) -> list[float]:
     """Detection thresholds of a group's points, indexed pis in the sweep:
-    each from the uncoded slot law, computed once for the group, or with
-    config.pilot_slots set, from a sampled pilot seeded by its point only."""
+    each from the uncoded slot law of its noise-free point, computed once, or
+    with config.pilot_slots set, from a sampled pilot seeded by its point."""
     if config.pilot_slots:
         keys = [[config.seed, pi, 0, 0] for pi in pis]
         return [calibrate_threshold(pt, config.pilot_slots, k) for pt, k in zip(group, keys)]
-    law = slot_law(group[0], [0.5] * (group[0].L - 1))
-    return [detection_threshold(pt, law) for pt in group]
+    keys = [replace(pt, sigma_n2=0.0) for pt in group]
+    laws = {key: slot_law(key, [0.5] * (key.L - 1)) for key in dict.fromkeys(keys)}
+    return [detection_threshold(pt, laws[key]) for pt, key in zip(group, keys)]
 
 
 # BER experiment kind -> the swept ChannelParams field, CSV column and threshold key
@@ -302,18 +303,14 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
         raise ValueError(f"{kind} needs a non-empty sweep")
     coders = _coders(config)
     points = [replace(config.channel, **{swept: value}) for value in config.sweep]
-    # points sharing a noise-free channel (the transport tables' and slot
-    # law's key) form a group; all codes run on it before a later group's
-    # table can evict it
-    keys = [replace(pt, sigma_n2=0.0) for pt in points]
-    groups = [[pi for pi, key in enumerate(keys) if key == k] for k in dict.fromkeys(keys)]
-    errors, thetas = {}, {}
-    for gi, pis in enumerate(groups):
-        group = [points[i] for i in pis]
-        thetas.update(zip(pis, _thresholds(group, pis, config)))
-        for ci, coder in enumerate(coders):
-            errs = ber_point(coder, group, gi, [thetas[i] for i in pis], config)
-            errors.update(zip([(ci, pi) for pi in pis], errs))
+    # one group in ascending M (a stable sort: ber-noise keeps its order)
+    pis = sorted(range(len(points)), key=lambda pi: points[pi].M)
+    group = [points[pi] for pi in pis]
+    thetas = dict(zip(pis, _thresholds(group, pis, config)))
+    errors = {}
+    for ci, coder in enumerate(coders):
+        errs = ber_point(coder, group, 0, [thetas[pi] for pi in pis], config)
+        errors.update(zip([(ci, pi) for pi in pis], errs))
     rows = []
     for (ci, pi), errs in sorted(errors.items()):
         pt, bits = points[pi], config.trials * coders[ci].message_len

@@ -425,9 +425,69 @@ class TestTransport:
         assert np.var(second - first) == pytest.approx(150.0, rel=5 * math.sqrt(2 / tx.size))
 
     def test_observed_points_share_one_channel(self, params_03):
-        points = [params_03, replace(params_03, M=params_03.M + 1)]
-        with pytest.raises(ValueError, match="sigma_n2 only"):
+        # points may differ in M and sigma_n2 only: a change of ts or L is another channel
+        for change in ({"ts": 0.4}, {"L": 39}, {"ts": 0.4, "M": 301}):
+            points = [params_03, replace(params_03, **change)]
+            with pytest.raises(ValueError, match="M and sigma_n2 only"):
+                simulate_stream(np.ones(10, dtype=np.uint8), points, 1, [1.0, 1.0])
+
+    def test_observed_points_come_in_ascending_molecules(self, params_03):
+        points = [params_03, replace(params_03, M=params_03.M - 1)]
+        with pytest.raises(ValueError, match="ascending M"):
             simulate_stream(np.ones(10, dtype=np.uint8), points, 1, [1.0, 1.0])
+
+    def test_increments_keep_the_transport_law(self, params_03):
+        # counts drawn as M1 = 100 molecules per 1, then M2 - M1 = 200 more,
+        # against one direct draw at M2 = 300 on the same 60-slot pattern,
+        # 300 seeds each: per-slot means, variances and adjacent-slot
+        # covariances agree within 5 standard errors (bound fixed before the
+        # first run)
+        tx = np.random.default_rng(12).integers(0, 2, size=60, dtype=np.uint8)
+        tx[0] = 1  # every slot then sees molecules
+        low, high = replace(params_03, M=100), replace(params_03, M=300)
+        seeds = 300
+        stepped, direct = (np.zeros((seeds, tx.size)) for _ in range(2))
+        for s in range(seeds):
+            *_, stepped[s] = _observe(tx, [low, high], np.random.default_rng([s, 1]))
+            direct[s] = transmit_counts(tx, high, np.random.default_rng([s, 2]))
+
+        def moments(x):  # per-slot counts, squared deviations, adjacent-slot products
+            dev = x - x.mean(axis=0)
+            return x, dev**2, dev[:, 1:] * dev[:, :-1]
+
+        for a, b in zip(moments(stepped), moments(direct)):
+            se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / seeds)
+            assert (np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5 * se).all()
+
+    def test_count_type_holds_m_times_l_molecules(self, params_03):
+        # a slot never holds more than M * L molecules: int32 below 2^31,
+        # int64 from it on.  Checked on the rule, since transport tables at
+        # such sizes would cost gigabytes
+        for M, L, dtype in (
+            (100_000, 21_474, np.int32),
+            (100_000, 21_475, np.int64),
+            (1 << 16, 1 << 15, np.int64),  # exactly 2^31
+            (1, 2**31 - 1, np.int32),
+        ):
+            assert channel._count_dtype(replace(params_03, M=M, L=L)) == dtype
+        counts = transmit_counts(np.ones(10, dtype=np.uint8), params_03, np.random.default_rng(1))
+        assert counts.dtype == np.int32
+
+    def test_running_counts_widen_past_int32(self, params_03, monkeypatch):
+        # a running sum whose point reaches the int64 rule widens with every
+        # count kept; the rule is moved down to M = 300 so that no large table is built
+        tx = np.random.default_rng(4).integers(0, 2, size=2_000, dtype=np.uint8)
+        points = [replace(params_03, M=150), params_03]
+        narrow = [c.copy() for c in _observe(tx, points, np.random.default_rng(6))]
+
+        def rule(point):  # int64 from M = 300 on
+            return np.int64 if point.M >= 300 else np.int32
+
+        monkeypatch.setattr(channel, "_count_dtype", rule)
+        wide = [c.copy() for c in _observe(tx, points, np.random.default_rng(6))]
+        assert [c.dtype for c in narrow] == [np.int32, np.int32]
+        assert [c.dtype for c in wide] == [np.int32, np.int64]
+        assert all((a == b).all() for a, b in zip(narrow, wide))
 
     def test_empty_stream_rejected(self, params_03):
         with pytest.raises(ValueError):
@@ -919,6 +979,24 @@ class TestDetect:
         theta = channel.detection_threshold(params_03, channel.slot_law(params_03, [0.5] * 39))
         peak = params_03.M * profile_03[0]
         assert detect([peak + 5 * 10, 0.1 * peak], theta).tolist() == [1, 0]
+
+    def test_integer_counts_decide_as_floats(self):
+        counts = np.arange(200)
+        for theta in (0.0, 0.5, 61.0, 61.18, 199.0, 199.5, 1e9):
+            want = detect(counts.astype(np.float64), theta)
+            for dtype in (np.int32, np.int64):
+                assert (detect(counts.astype(dtype), theta) == want).all(), (dtype, theta)
+
+    def test_integer_counts_are_not_copied_to_floats(self):
+        # 1M int32 counts: the decisions take 1 MB, a float64 copy would take 8 MB
+        counts = np.zeros(1 << 20, dtype=np.int32)
+        tracemalloc.start()
+        try:
+            detect(counts, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MB"
 
     def test_negative_threshold_rejected(self):
         for threshold in (-0.5, math.nan):

@@ -462,21 +462,23 @@ class TestBerExperiments:
             run_ber_experiment(small_config(params_03), "ber-x")
 
     def test_sweeps_build_each_table_once(self, params_03):
-        # the transport tables do not depend on sigma_n2, so over every
-        # block of 3 codes a 3-point ber-m sweep builds 3 table pairs and a
-        # 3-point ber-noise sweep 1
+        # the transport tables do not depend on sigma_n2, and a ber-m block
+        # draws 150 molecules per 1, then 50 more twice, so over every block
+        # of 3 codes a 3-point ber-m sweep builds 2 table pairs and a 3-point
+        # ber-noise sweep 1
         for kind, sweep, table_pairs in (
-            ("ber-m", (150.0, 200.0, 250.0), 3),
+            ("ber-m", (150.0, 200.0, 250.0), 2),
             ("ber-noise", (0.0, 30.0, 60.0), 1),
         ):
             channel._transport_tables.cache_clear()
             run_ber_experiment(small_config(params_03, sweep=sweep, trials=500), kind)
             info = channel._transport_tables.cache_info()
-            assert info.misses == table_pairs and info.currsize == 1, kind
+            assert info.misses == table_pairs and info.currsize == table_pairs, kind
 
     def test_concurrent_workers_build_each_table_once(self, params_03, monkeypatch):
-        # a slow build overlaps both workers' first blocks of every group;
-        # the second worker must wait for the first's table, not build its own
+        # a slow build overlaps both workers' first blocks; the second worker
+        # must wait for the first's table, not build its own.  A lo:hi:step
+        # sweep's increments are lo and step molecules: 2 table pairs
         probs = channel.slot_probs
 
         def slow_probs(point):
@@ -484,28 +486,39 @@ class TestBerExperiments:
             return probs(point)
 
         monkeypatch.setattr(channel, "slot_probs", slow_probs)
-        sweep = (150.0, 200.0, 250.0)
+        sweep = (150.0, 225.0, 300.0)
         config = small_config(
             params_03, codes=("uncoded",), sweep=sweep, trials=500, block_size=250, workers=2
         )
         channel._transport_tables.cache_clear()
         run_ber_experiment(config, "ber-m")
-        assert channel._transport_tables.cache_info().misses == 3
+        assert channel._transport_tables.cache_info().misses == 2
 
     @pytest.mark.parametrize("pilot_slots", [0, 10_000])
     @pytest.mark.parametrize("points", [16, 17])
-    def test_long_sweep_builds_each_table_once(self, params_03, points, pilot_slots):
-        # a point's threshold, pilot included, and all its blocks run before
-        # the next point's, so the one cached table pair is the live point's
-        # and each is built once
+    def test_long_sweep_builds_each_table_once(
+        self, params_03, monkeypatch, points, pilot_slots
+    ):
+        # every threshold, pilot included, comes before the blocks, whose
+        # increments of 100 and 20 molecules need 2 table pairs: each built
+        # once and both kept cached.  A pilot draws transport at its point's
+        # full M, so pilots build one pair per point first
         sweep = tuple(100.0 + 20 * i for i in range(points))
         config = small_config(
             params_03, codes=("uncoded",), sweep=sweep, trials=200, pilot_slots=pilot_slots
         )
+        before_blocks, step = [], harness.ber_point
+        monkeypatch.setattr(
+            harness,
+            "ber_point",
+            lambda *a: before_blocks.append(channel._transport_tables.cache_info().misses)
+            or step(*a),
+        )
         channel._transport_tables.cache_clear()
         run_ber_experiment(config, "ber-m")
         info = channel._transport_tables.cache_info()
-        assert info.misses == points and info.currsize == 1
+        assert before_blocks == [points if pilot_slots else 0]
+        assert info.misses == before_blocks[0] + 2 and info.currsize == 2
 
     def test_noise_sweep_tables_are_noise_free(self, params_03, monkeypatch):
         seen, build = [], channel._transport_tables
@@ -537,31 +550,58 @@ class TestBerExperiments:
             run_ber_experiment(config, "ber-m")
         assert work == []
 
-    def test_one_slot_law_per_group_and_unchanged_rows(self, params_03, monkeypatch):
+    def test_one_slot_law_per_noise_free_point(self, params_03, monkeypatch):
         work = record_work(monkeypatch)
-        config = small_config(params_03)
+        config = small_config(params_03, sweep=(150.0, 250.0, 200.0))
         report = run_ber_experiment(config, "ber-m")
-        # each point's law and threshold come before its blocks' transport
+        # every point's law and threshold come before any block's transport
         stages = [name for name, _ in itertools.groupby(work)]
-        assert stages == ["slot_law", "detection_threshold", "_transport_tables"] * 2
+        assert stages == ["slot_law", "detection_threshold", "_transport_tables"]
+        assert work.count("slot_law") == work.count("detection_threshold") == 3
 
-        # each row is what a standalone point with its own threshold gives
+        # each threshold is its point's own, and every row is what the whole
+        # sweep replayed in ascending M gives (ber_point's group 0)
+        thetas = {}
+        for value in config.sweep:
+            point = replace(params_03, M=value)
+            thetas[value] = detection_threshold(point, slot_law(point, [0.5] * 39))
+        ascending = sorted(config.sweep)
+        points = [replace(params_03, M=value) for value in ascending]
         expected = []
         for label in config.codes:
             coder = make_coder(label)
-            for pi, value in enumerate(config.sweep):
-                point = replace(params_03, M=value)
-                theta = detection_threshold(point, slot_law(point, [0.5] * 39))
-                (errors,) = ber_point(coder, [point], pi, [theta], config)
-                bits = config.trials * coder.message_len
-                expected.append((label, value, bits, errors, theta))
+            errors = ber_point(coder, points, 0, [thetas[v] for v in ascending], config)
+            by_value = dict(zip(ascending, errors))
+            bits = config.trials * coder.message_len
+            expected += [(label, v, bits, by_value[v], thetas[v]) for v in config.sweep]
         assert [
             (r["code"], r["M"], r["bits_sent"], r["bit_errors"], r["threshold"])
             for r in report.rows
         ] == expected
 
-        parallel = run_ber_experiment(small_config(params_03, workers=3), "ber-m")
+        parallel = run_ber_experiment(replace(config, workers=3), "ber-m")
         assert report_csv_text(parallel) == report_csv_text(report)
+
+    def test_first_point_rows_match_a_one_point_sweep(self, params_03):
+        # the lowest M draws its transport before any increment, so its rows
+        # are a one-point sweep's, bit for bit
+        config = small_config(params_03, sweep=(150.0, 250.0))
+        rows = run_ber_experiment(config, "ber-m").rows
+        single = run_ber_experiment(replace(config, sweep=(150.0,)), "ber-m").rows
+        assert rows[0::2] == single
+
+    def test_reversed_sweep_gives_the_same_rows(self, params_03):
+        # increments are drawn in ascending M whatever the sweep order, and
+        # rows and manifest thresholds keep the sweep's order
+        config = small_config(params_03, sweep=(150.0, 200.0, 250.0))
+        forward = run_ber_experiment(config, "ber-m")
+        backward = run_ber_experiment(replace(config, sweep=(250.0, 200.0, 150.0)), "ber-m")
+        assert [r["M"] for r in backward.rows[:3]] == [250, 200, 150]
+        for code in range(3):
+            rows = slice(3 * code, 3 * code + 3)
+            assert backward.rows[rows] == forward.rows[rows][::-1]
+        thresholds = [k for k in backward.manifest if k.startswith("threshold[")]
+        assert thresholds == ["threshold[M=250]", "threshold[M=200]", "threshold[M=150]"]
 
     def test_noise_sweep_computes_one_slot_law(self, params_03, monkeypatch):
         work = record_work(monkeypatch)
@@ -590,8 +630,8 @@ class TestBerExperiments:
         self, params_03, monkeypatch, kind, per_block
     ):
         # 3 sweep points share one noise-free channel in ber-noise, so each
-        # (code, block) draws transport once for all of them; ber-m points
-        # do not, so each draws its own
+        # (code, block) draws transport once for all of them; a ber-m block
+        # draws once per molecule increment, so once per point
         calls, transport = [], channel.transmit_counts
         monkeypatch.setattr(
             channel, "transmit_counts", lambda *a, **kw: calls.append(1) or transport(*a, **kw)
@@ -618,7 +658,12 @@ class TestBerExperiments:
 
     @pytest.mark.parametrize(
         "kind, sweep, overrides",
-        [("ber-m", 300.0, {}), ("ber-noise", 60.0, {}), ("ber-m", 300.0, {"L": 3})],
+        [
+            ("ber-m", 300.0, {}),
+            ("ber-noise", 60.0, {}),
+            ("ber-m", 300.0, {"L": 3}),
+            ("ber-m", (150.0, 300.0), {}),
+        ],
     )
     def test_uncoded_ber_matches_the_exact_slot_law(self, params_03, kind, sweep, overrides):
         # end to end against an independent law: an uncoded bit is one slot,
@@ -628,30 +673,34 @@ class TestBerExperiments:
         # first run.  Blocks start on an empty channel, so the first L - 1
         # slots of each 25,000-slot block see less interference; that raises
         # the expected BER by 0.39 SE at L = 40, 0.22 SE at sigma_n2 = 60 and
-        # under 0.01 SE at L = 3, computed from the same law.
+        # under 0.01 SE at L = 3, computed from the same law.  The two-point
+        # sweep checks the M = 300 point drawn as 150 molecules, then 150 more.
         base = replace(params_03, **overrides)
+        sweep = sweep if isinstance(sweep, tuple) else (sweep,)
         config = small_config(
             base,
             codes=("uncoded",),
-            sweep=(sweep,),
+            sweep=sweep,
             trials=2_000_000,
             workers=2,
             seed=7,
             block_size=harness.DEFAULT_BLOCK_SIZE,
         )
-        (row,) = run_ber_experiment(config, kind).rows
-        point = replace(base, **{harness.BER_SWEEPS[kind]: sweep})
-        off, on = slot_law(point, [0.5] * (point.L - 1))
-        theta = row["threshold"]
-        if point.sigma_n2 > 0:
-            root = math.sqrt(2.0 * point.sigma_n2)
-            above = np.array([math.erfc((theta - c) / root) / 2 for c in range(on.size)])
-        else:
-            above = (np.arange(on.size) >= theta).astype(np.float64)
-        exact = float(on @ (1.0 - above) + off @ above) / 2
-        se = math.sqrt(exact * (1.0 - exact) / row["bits_sent"])
-        assert row["bits_sent"] == 2_000_000
-        assert abs(row["ber"] - exact) <= 4 * se, (row["ber"], exact)
+        rows = run_ber_experiment(config, kind).rows
+        assert len(rows) == len(sweep)
+        for row, value in zip(rows, sweep):
+            point = replace(base, **{harness.BER_SWEEPS[kind]: value})
+            off, on = slot_law(point, [0.5] * (point.L - 1))
+            theta = row["threshold"]
+            if point.sigma_n2 > 0:
+                root = math.sqrt(2.0 * point.sigma_n2)
+                above = np.array([math.erfc((theta - c) / root) / 2 for c in range(on.size)])
+            else:
+                above = (np.arange(on.size) >= theta).astype(np.float64)
+            exact = float(on @ (1.0 - above) + off @ above) / 2
+            se = math.sqrt(exact * (1.0 - exact) / row["bits_sent"])
+            assert row["bits_sent"] == 2_000_000
+            assert abs(row["ber"] - exact) <= 4 * se, (value, row["ber"], exact)
 
 
 class TestReportOutput:
@@ -761,8 +810,8 @@ class TestSeedLayout:
             runs.append(replace(config, pilot_slots=10_000))
         for run, pilots in zip(runs, (0, 2)):
             keys = run_seed_keys(monkeypatch, run, kind)
-            # any pilots, then messages and channel per block of each group
-            blocks = {"ber-m": 2 * 3 * 2, "ber-noise": 3 * 2, "isi": 2 * 2}[kind]
+            # any pilots, then messages and channel per block of the one group
+            blocks = {"ber-m": 3 * 2, "ber-noise": 3 * 2, "isi": 2 * 2}[kind]
             assert len(keys) == pilots + blocks
             states = [state(key) for key in keys]
             assert len(set(states)) == len(states), keys
@@ -773,7 +822,7 @@ class TestSeedLayout:
         self, params_03, monkeypatch, kind, pilot_slots
     ):
         # seed 2^32 + 5 is the words (5, 1): its keys must not repeat any of
-        # seed 5's, whose group 1 keys start (5, 1) too
+        # seed 5's, whose point-1 pilot key starts (5, 1) too
         sweep = (150.0, 250.0) if kind == "ber-m" else (0.0, 60.0)
         config = small_config(
             params_03, codes=("uncoded",), trials=1_200, sweep=sweep, pilot_slots=pilot_slots
