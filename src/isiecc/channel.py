@@ -144,27 +144,28 @@ def slot_probs(params: ChannelParams) -> np.ndarray:
     return p
 
 
-def _interference(history, p: np.ndarray) -> float:
-    """Interference on the slot after `history` (0/1 bits or densities, most
-    recent last): the bit g slots back weighs p_{g+1}, for g = 1 .. L-1."""
-    h = np.asarray(history, dtype=np.float64)
-    if h.size >= p.size:
-        raise ValueError(f"{h.size} earlier slots reach beyond the channel memory L={p.size}")
-    return float(h[::-1] @ p[1 : h.size + 1])
+def isi_matrix(profile, n: int, stream: bool) -> np.ndarray:
+    """(n, n) lag-to-position map of an n-slot word: entry (i, j) sums p_{g+1}
+    over the lags g = 1 .. L-1 that take position i to j, j = (i + g) mod n
+    in an endless stream, j = i + g < n in an isolated word (n <= L)."""
+    p = np.asarray(profile, dtype=np.float64)
+    gap = np.arange(n) - np.arange(n)[:, None]  # j - i
+    if stream:
+        return np.bincount(np.arange(1, p.size) % n, weights=p[1:], minlength=n)[gap % n]
+    if n > p.size:
+        raise ValueError(f"{n} slots: longer than the slot profile (channel memory L={p.size})")
+    return np.triu(p[np.abs(gap)], 1)
 
 
 def expected_isi(words, i: int, profile) -> float:
     """Mean interference hitting position i of a set of words from their
     earlier 1s, summed as c_l * p_{i-l+1} over l < i.  Takes the rows of a
-    matrix or one 1-D word; pass transmitted forms to evaluate the swapped
-    code."""
+    matrix, one 1-D word or the per-position densities of a code; pass
+    transmitted forms to evaluate the swapped code."""
     dens = np.atleast_2d(np.asarray(words)).mean(axis=0)
-    p = np.asarray(profile, dtype=np.float64)
     if not (1 <= i <= dens.size):
         raise ValueError(f"position {i} outside 1..{dens.size}")
-    if dens.size > p.size:
-        raise ValueError("word longer than the channel memory")
-    return _interference(dens[: i - 1], p)
+    return float(dens @ isi_matrix(profile, dens.size, False)[:, i - 1])
 
 
 def streaming_expected_isi(densities, position: int, profile) -> float:
@@ -173,11 +174,10 @@ def streaming_expected_isi(densities, position: int, profile) -> float:
     into earlier codewords.  Exact for any bit correlations because the
     interference is linear in the transmitted bits."""
     dens = np.asarray(densities, dtype=np.float64)
-    p = np.asarray(profile, dtype=np.float64)
     n = dens.size
     if not (1 <= position <= n):
         raise ValueError(f"position {position} outside 1..{n}")
-    return _interference(dens[(position - 1 - np.arange(p.size - 1, 0, -1)) % n], p)
+    return float(dens @ isi_matrix(profile, n, True)[:, position - 1])
 
 
 def stream_average_isi(densities, profile) -> float:
@@ -198,14 +198,12 @@ def codeword_isi_bound(codeword, profile, max_parity_weight: int, message_len: i
     cause, which is the worst arrangement a weight-capped parity allows.
     """
     p = np.asarray(profile, dtype=np.float64)
+    if not 0 <= max_parity_weight < p.size:
+        raise ValueError(f"cap of {max_parity_weight} is negative or beyond the channel memory")
     parity = np.array(codeword, dtype=np.float64)
-    if parity.size > p.size:
-        raise ValueError("codeword longer than the slot profile")
     parity[:message_len] = 0
-    budget = _interference(np.ones(max_parity_weight), p)  # p_2 + ... + p_{cap+1}
-    return all(
-        _interference(parity[: i - 1], p) <= budget + 1e-12 for i in range(2, parity.size + 1)
-    )
+    budget = p[1 : max_parity_weight + 1].sum()  # p_2 + ... + p_{cap+1}
+    return bool((parity @ isi_matrix(p, parity.size, False) <= budget + 1e-12).all())
 
 
 class GuideTable:

@@ -46,6 +46,7 @@ from .channel import (
     calibrate_threshold,
     detection_threshold,
     expected_isi,
+    isi_matrix,
     simulate_stream,
     slot_law,
     slot_probs,
@@ -185,26 +186,18 @@ def _map(workers: int, fn, jobs) -> list:
 # expected-ISI experiment
 
 
-def _lag_shares(p: np.ndarray, n: int) -> np.ndarray:
-    """(n, n + 1) multinomial probabilities of one emission's molecules over
-    the positions of an n-slot word: row i sums p_{g+1} over the lags g = 1 ..
-    L-1 that take position i to (i + g) mod n; its last entry is the rest,
-    the own slot and never absorbed."""
-    base = np.bincount(np.arange(1, p.size) % n, weights=p[1:], minlength=n)
-    share = np.array([np.roll(base, i) for i in range(n)])
-    return np.column_stack([share, 1.0 - share.sum(axis=1)])
-
-
 def _isi_mc_profile(coder, params: ChannelParams, trials: int, seed) -> np.ndarray:
     """Monte Carlo per-position mean interference (molecules) in a stream.
 
     Only per-position totals are kept, so they are drawn from their exact
     law.  In a block's words whose every lag lands inside the block, the 1s
     at position i send Multinomial(M * ones_i, share_i) molecules to the
-    positions (_lag_shares): n draws per block.  The last ceil((L-1)/n)
+    positions, share_i being row i of the streamed isi_matrix plus the rest
+    (own slot, never absorbed): n draws per block.  The last ceil((L-1)/n)
     words go through transport, which drops what lands past the block."""
     n = coder.block_len
-    share = _lag_shares(slot_probs(params), n)
+    share = isi_matrix(slot_probs(params), n, True)
+    share = np.column_stack([share, 1.0 - share.sum(axis=1)])
     tail = -(-(params.L - 1) // n)  # words whose lags may leave the block
     sums = np.zeros(n, dtype=np.float64)
     for job in _blocks(trials, DEFAULT_BLOCK_SIZE, n):
@@ -241,7 +234,7 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
             )
     rows = []
     for coder in coders:
-        words = coder.transmitted_words()
+        dens = coder.transmitted_words().mean(axis=0)
         mc = _isi_mc_profile(coder, params, config.trials, config.seed)
         for pos in range(1, coder.block_len + 1):
             rows.append(
@@ -250,7 +243,7 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
                     "ts_s": params.ts,
                     "L": params.L,
                     "position": pos,
-                    "expected_isi_analytic": params.M * expected_isi(words, pos, profile),
+                    "expected_isi_analytic": params.M * expected_isi(dens, pos, profile),
                     "expected_isi_mc": float(mc[pos - 1]),
                 }
             )

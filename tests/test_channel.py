@@ -171,15 +171,18 @@ class TestExpectedIsi:
 
 class TestStreamingIsi:
     def test_matches_long_unrolled_stream(self, profile_03):
-        dens = np.array([0.5, 0.25, 0.125])
-        # unroll 30 periods and evaluate the middle word directly
-        unrolled = np.tile(dens, 30)
-        pos = 3 * 25 + 2  # position 2 of word 25, 1-based
+        # ckm:16,30's n = 47 slots outlast the channel memory L = 40
         p = profile_03
-        direct = math.fsum(
-            unrolled[pos - 1 - g] * p[g] for g in range(1, len(p))
-        )
-        assert streaming_expected_isi(dens, 2, profile_03) == pytest.approx(direct, abs=1e-14)
+        for dens in (np.array([0.5, 0.25, 0.125]), density_profile(build_codebook(16, 30))):
+            n = dens.size
+            # unroll 30 periods and evaluate word 25 directly
+            unrolled = np.tile(dens, 30)
+            for position in range(1, n + 1):
+                pos = n * 25 + position  # 1-based
+                direct = math.fsum(unrolled[pos - 1 - g] * p[g] for g in range(1, len(p)))
+                assert streaming_expected_isi(dens, position, p) == pytest.approx(
+                    direct, abs=1e-14
+                )
 
     @pytest.mark.parametrize("position", [0, 4])
     def test_position_out_of_range(self, profile_03, position):

@@ -400,10 +400,12 @@ class TestCodewordIsiBudget:
     def test_inputs_beyond_the_memory_rejected(self, profile_03):
         from isiecc import codeword_isi_bound
 
-        # a cap of L parity 1s, or a word of L + 1 slots, reaches past p_L
+        # a cap of L parity 1s, or a word of L + 1 slots, reaches past p_L;
+        # a negative cap bounds nothing
         L = profile_03.size
-        with pytest.raises(ValueError, match="beyond the channel memory"):
-            codeword_isi_bound(np.zeros(30, dtype=np.uint8), profile_03, L, 6)
+        for cap in (L, -1, -5):
+            with pytest.raises(ValueError, match="negative or beyond the channel memory"):
+                codeword_isi_bound(np.zeros(30, dtype=np.uint8), profile_03, cap, 6)
         with pytest.raises(ValueError, match="longer than the slot profile"):
             codeword_isi_bound(np.zeros(L + 1, dtype=np.uint8), profile_03, 2, 6)
 

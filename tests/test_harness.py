@@ -305,19 +305,24 @@ class TestIsiExperiment:
         assert tails.sum() > 0
         assert ((profiles[0] - profiles[1]) * trials == tails).all()
 
-    @pytest.mark.parametrize("n", [1, 3, 10, 40])
+    @pytest.mark.parametrize("stream", [True, False])
+    @pytest.mark.parametrize("n", [1, 3, 10, 40, 47])
     @pytest.mark.parametrize("L", [1, 2, 40])
-    def test_lag_shares_match_a_loop_over_lags(self, params_03, L, n):
+    def test_isi_matrix_and_rest_match_a_loop_over_lags(self, params_03, L, n, stream):
         p = slot_probs(replace(params_03, L=L))
-        share = harness._lag_shares(p, n)
-        assert share.shape == (n, n + 1)
+        if n > L and not stream:  # an isolated word's lags would reach past p_L
+            with pytest.raises(ValueError, match="longer than the slot profile"):
+                channel.isi_matrix(p, n, stream)
+            return
+        share = channel.isi_matrix(p, n, stream)
+        assert share.shape == (n, n)
         for i in range(n):
             row = [0.0] * n
             for g in range(1, L):  # a molecule g slots late lands on position i + g
-                row[(i + g) % n] += float(p[g])
-            assert share[i, :n].tolist() == row
-            assert math.fsum(share[i]) == pytest.approx(1.0, abs=1e-12)
-            assert share[i, n] >= p[0] - 1e-15  # the rest holds the own slot
+                if stream or i + g < n:
+                    row[(i + g) % n] += float(p[g])
+            assert share[i].tolist() == row
+            assert 1.0 - share[i].sum() >= p[0] - 1e-15  # the rest holds the own slot
 
     @pytest.mark.parametrize("label", ["rep3", "ckm:4,5"])
     def test_block_totals_follow_the_transport_law(self, params_03, label):
