@@ -20,10 +20,10 @@ P(x, t) = Bin(M, p_1)(x) Bin(M - x, P_tail / (1 - p_1))(t) with P_tail =
 p_2 + ... + p_L, then each of those T molecules takes lag d with
 probability p_d / P_tail.  Both laws are drawn from guide tables over 2^16
 cells of their CDFs (Chen & Asau, AIIE Trans. 6(2), 1974).
-Receiver noise is zero-mean Gaussian added per slot, and detection
-thresholds the real-valued slot observation.  The threshold is computed, not
-sampled: the count law of one slot is a convolution of binomial pmfs, which
-slot_law evaluates exactly.
+Receiver noise is zero-mean Gaussian: a slot decides 1 with probability
+P(count + noise >= theta), drawn from that exact law given its count.  The
+threshold is computed, not sampled: the count law of one slot is a
+convolution of binomial pmfs, which slot_law evaluates exactly.
 """
 
 from __future__ import annotations
@@ -356,41 +356,59 @@ def transmit_counts(
 
 
 def _observe(tx_bits: np.ndarray, points, rng: np.random.Generator):
-    """Slot observations of tx_bits at each of `points`, which differ only in
-    M and sigma_n2 and come in ascending M: transport at the first M, then
-    each higher M adds the molecules not yet sent into the running counts
-    (independent multinomials sum to the multinomial of their total), then
-    each noisy point's noise in one reused buffer.  A yielded array is valid
-    until the next one is drawn."""
+    """Noise-free slot counts of tx_bits at each of `points`, which differ
+    only in M and sigma_n2 and come in ascending M: transport at the first M,
+    then each higher M adds the molecules not yet sent into the running
+    counts (independent multinomials sum to the multinomial of their total).
+    A yielded array is valid until the next one is drawn."""
     if len({replace(pt, M=0, sigma_n2=0.0) for pt in points}) != 1:
         raise ValueError("observed points must differ in M and sigma_n2 only")
     if any(a.M > b.M for a, b in itertools.pairwise(points)):
         raise ValueError("observed points must come in ascending M")
     counts = transmit_counts(tx_bits, points[0], rng)
-    sent, buf = points[0].M, None  # buf is allocated at the first noisy point, then reused
+    sent = points[0].M
     for pt in points:
         if pt.M > sent:
             if counts.dtype != _count_dtype(pt):  # the running sum outgrows int32
                 counts = counts.astype(np.int64)
             counts += transmit_counts(tx_bits, replace(pt, M=pt.M - sent), rng)
             sent = pt.M
-        if pt.sigma_n2 > 0:
-            buf = rng.standard_normal(counts.size, out=buf)
-            buf *= math.sqrt(pt.sigma_n2)
-            buf += counts
-        yield buf if pt.sigma_n2 > 0 else counts
+        yield counts
+
+
+def _decide(counts: np.ndarray, above: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Per-slot decisions, 1 with probability above[count] to 2^-64: a 16-bit
+    cell per slot below the top 16 bits of floor(above * 2^64), or equal and
+    a fix-up word's top 48 bits below the rest (2^48 at above = 1)."""
+    scaled = np.ldexp(above, 16)
+    top = np.minimum(np.floor(scaled), 65535)
+    rest = np.ldexp(scaled - top, 48).astype(np.uint64)  # exact: the bits below the top 16
+    top = np.take(top.astype(np.uint16), counts)
+    cells = rng.bit_generator.random_raw((counts.size + 3) // 4).view(np.uint16)[: counts.size]
+    out = (cells < top).view(np.uint8)
+    tie = np.flatnonzero(cells == top)
+    out[tie] = rng.bit_generator.random_raw(tie.size) >> 16 < rest[counts[tie]]
+    return out
 
 
 def simulate_stream(tx_bits, points, rng_seed, thresholds) -> list[np.ndarray]:
-    """Per-slot decisions at each of `points`, `detect` at its threshold over
-    `_observe` (so ascending M), for a 0/1 pattern sent as one slot stream,
-    each slot hit by interference from the slots before it.  Identical
-    seeds, same decisions."""
+    """Per-slot decisions at each of `points` over `_observe` (so ascending
+    M), for a 0/1 pattern sent as one slot stream, each slot hit by
+    interference from the slots before it: `detect` at a noise-free point's
+    threshold, else `_decide` over counts 0 .. max.  Identical seeds, same
+    decisions."""
     tx = np.asarray(tx_bits, dtype=np.uint8)
     if tx.size == 0:
         raise ValueError("need at least one transmitted slot")
-    observed = _observe(tx, points, np.random.default_rng(rng_seed))
-    return [detect(obs, theta) for obs, theta in zip(observed, thresholds, strict=True)]
+    if not all(theta >= 0 for theta in thresholds):  # also rejects NaN
+        raise ValueError(f"thresholds must be non-negative, got {thresholds}")
+    rng = np.random.default_rng(rng_seed)
+    return [
+        _decide(c, _above(theta - np.arange(c.max() + 1), pt.sigma_n2), rng)
+        if pt.sigma_n2 > 0
+        else detect(c, theta)
+        for pt, c, theta in zip(points, _observe(tx, points, rng), thresholds, strict=True)
+    ]
 
 
 def slot_law(point: ChannelParams, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -416,6 +434,19 @@ def slot_law(point: ChannelParams, weights) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.pad(pmf, (0, size - pmf.size)) for pmf in (off, on))
 
 
+def _above(gap: np.ndarray, sigma_n2: float) -> np.ndarray:
+    """P(count + noise >= theta) at each gap = theta - count: P(noise >= |gap|)
+    straight from erfc, or its complement; a step at sigma_n2 = 0.  The noise
+    rule of detection_threshold's grid and of simulate_stream's decisions."""
+    if not sigma_n2 > 0:
+        return (gap <= 0).astype(np.float64)
+    z = np.abs(gap) / math.sqrt(2.0 * sigma_n2)
+    # row by row, so that no list of all z.size Python floats is ever held
+    erfc = itertools.chain.from_iterable(map(math.erfc, row.tolist()) for row in np.atleast_2d(z))
+    tail = np.fromiter(erfc, np.float64, z.size).reshape(z.shape) / 2
+    return np.where(gap > 0, tail, 1.0 - tail)
+
+
 def detection_threshold(point: ChannelParams, law) -> float:
     """Threshold minimizing an uncoded slot's error probability, P(count +
     noise < theta | 1) / 2 + P(count + noise >= theta | 0) / 2, over 256 evenly
@@ -430,15 +461,7 @@ def detection_threshold(point: ChannelParams, law) -> float:
         raise ValueError("cannot calibrate with M * p_1 = 0")
     off, on = law
     grid = np.linspace(0.0, 2.0 * peak, 256)
-    gap = grid[:, None] - np.arange(on.size)  # theta - count
-    if point.sigma_n2 > 0:  # P(noise >= |gap|), each tail straight from erfc
-        z = np.abs(gap) / math.sqrt(2.0 * point.sigma_n2)
-        # row by row, so that no list of all z.size Python floats is ever held
-        erfc = itertools.chain.from_iterable(map(math.erfc, row.tolist()) for row in z)
-        tail = np.fromiter(erfc, np.float64, z.size).reshape(z.shape) / 2
-        above = np.where(gap > 0, tail, 1.0 - tail)  # P(count + noise >= theta)
-    else:
-        above = (gap <= 0).astype(np.float64)
+    above = _above(grid[:, None] - np.arange(on.size), point.sigma_n2)
     errors = (1.0 - above) @ on + above @ off
     return float(grid[int(np.argmin(errors))])
 
@@ -458,7 +481,7 @@ def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> f
 
 
 def detect(counts, threshold: float) -> np.ndarray:
-    """Per-slot decisions: 1 where the count or noisy count reaches the threshold."""
+    """Per-slot decisions: 1 where the noise-free count reaches the threshold."""
     if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     return (np.asarray(counts) >= threshold).view(np.uint8)

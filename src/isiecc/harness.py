@@ -22,12 +22,11 @@ equal them.
 BER is measured on decoded message bits by run_ber_experiment; its step,
 ber_point, runs one code over one group: every sweep point, in ascending M.
 A block draws words once and transport once per molecule increment, each
-higher M adding the molecules the lower ones did not send, then each
-point's noise in sweep order.  Blocks are encoded and decoded here; the
-channel only turns bit streams into slot decisions.  Each point's detection
-threshold is the exact error-minimizing one of an uncoded slot, from one
-slot law per noise-free point, and is shared by all codes at that point
-(recorded in the CSV and manifest).
+higher M adding the molecules the lower ones did not send.  Blocks are
+encoded here, and the words holding a slot error decoded; the channel turns
+bit streams into slot decisions.  Each point's detection threshold is the
+exact error-minimizing one of an uncoded slot, from one slot law per
+noise-free point, shared by all codes at that point (in the CSV and manifest).
 """
 
 from __future__ import annotations
@@ -257,12 +256,17 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
 
 def ber_point(coder, points, group_idx, thresholds, config) -> list[int]:
     """Bit errors of one code at each of `points` (ascending M), which share
-    each block's words and transport, over config.trials words."""
+    each block's words and transport, over config.trials words, decoding only
+    the words with a slot error: one received as sent decodes to its message."""
 
     def block(job):
         msgs, tx, key = _block_stream(coder, config.seed, group_idx, job)
-        decisions = simulate_stream(tx, points, key, thresholds)
-        return [int((coder.decode(d.reshape(len(msgs), -1)) != msgs).sum()) for d in decisions]
+        errors = []
+        for d in simulate_stream(tx, points, key, thresholds):
+            words = d.reshape(len(msgs), -1)
+            hit = np.flatnonzero((words != tx.reshape(words.shape)).any(axis=1))
+            errors.append(int((coder.decode(words[hit]) != msgs[hit]).sum()))
+        return errors
 
     jobs = _blocks(config.trials, config.block_size, coder.block_len)
     return [sum(errors) for errors in zip(*_map(config.workers, block, jobs))]

@@ -100,10 +100,12 @@ def threshold_grid(params) -> np.ndarray:
 
 def pilot_errors(params, pilot_length: int, rng_seed) -> np.ndarray:
     """Sampled oracle: misses plus false alarms of each grid threshold on one
-    uncoded pilot of i.i.d. equiprobable bits through the channel."""
+    uncoded pilot of i.i.d. equiprobable bits through the channel, each
+    count observed with its own Gaussian noise."""
     rng = np.random.default_rng(rng_seed)
     sent = rng.integers(0, 2, size=pilot_length, dtype=np.uint8)
     (counts,) = channel._observe(sent, [params], rng)
+    counts = counts + math.sqrt(params.sigma_n2) * rng.standard_normal(counts.size)
     grid = threshold_grid(params)
     on, off = np.sort(counts[sent == 1]), np.sort(counts[sent == 0])
     return np.searchsorted(on, grid) + off.size - np.searchsorted(off, grid)

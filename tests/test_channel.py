@@ -355,7 +355,7 @@ class TestTransport:
         assert (full[1:] == interf[1:]).all()
 
     def test_transport_ignores_noise(self, params_03):
-        # noise is added after transport, so a point's tables need no sigma_n2
+        # noise enters only the decisions, so a point's tables need no sigma_n2
         tx = chunk_stream(params_03, 2)
         assert tail_molecules(tx, params_03) > TRANSPORT_CHUNK
         clean = transmit_counts(tx, replace(params_03, sigma_n2=0.0), np.random.default_rng(4))
@@ -396,36 +396,11 @@ class TestTransport:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB"
 
-    def test_observation_sends_only_the_bits_given(self, params_03):
-        # no slot precedes the pattern: its counts, then its noise, come
-        # straight from the generator, one slot per bit
-        tx = np.random.default_rng(9).integers(0, 2, size=500, dtype=np.uint8)
-        rng = np.random.default_rng(3)
-        expected = transmit_counts(tx, params_03, rng) + 2.0 * rng.standard_normal(tx.size)
-        noisy = replace(params_03, sigma_n2=4.0)
-        (observed,) = _observe(tx, [noisy], np.random.default_rng(3))
-        assert (observed == expected).all()
-
     def test_stream_deterministic_for_seed(self, params_03):
         msgs = np.random.default_rng(0).integers(0, 2, size=(300, 1), dtype=np.uint8)
         (a,) = _observe(msgs.ravel(), [params_03], np.random.default_rng([1, 2]))
         (b,) = _observe(msgs.ravel(), [params_03], np.random.default_rng([1, 2]))
         assert (a == b).all()
-
-    def test_noise_is_added_per_slot(self, params_03):
-        params = replace(params_03, M=0, sigma_n2=9.0)
-        (counts,) = _observe(np.zeros(2000, dtype=np.uint8), [params], np.random.default_rng(3))
-        assert counts.std() == pytest.approx(3.0, rel=0.1)
-
-    def test_noisy_points_draw_independent_noise(self, params_03):
-        # one transport draw serves both points, so their observations differ
-        # by their noise alone: independent draws give a difference of
-        # variance s1 + s2, where one draw rescaled would give (sqrt(s1) - sqrt(s2))^2
-        tx = np.random.default_rng(6).integers(0, 2, size=20_000, dtype=np.uint8)
-        points = [replace(params_03, sigma_n2=s) for s in (30.0, 120.0)]
-        first, second = (obs.copy() for obs in _observe(tx, points, np.random.default_rng(7)))
-        # the sample variance of n normals has standard error sqrt(2 / n) relative
-        assert np.var(second - first) == pytest.approx(150.0, rel=5 * math.sqrt(2 / tx.size))
 
     def test_observed_points_share_one_channel(self, params_03):
         # points may differ in M and sigma_n2 only: a change of ts or L is another channel
@@ -592,6 +567,147 @@ LAW_PARAMS = ChannelParams(D=79.4, r=5.0, r0=10.0, ts=0.3, L=3, M=6, sigma_n2=0.
 LAW_TRIALS = 200_000
 CHI2_DF, CHI2_CRITICAL = 59, 98.32
 
+
+
+def decide_counts(monkeypatch, counts, points, thresholds, seed):
+    """simulate_stream's decisions at `points` over the given noise-free
+    counts: transport returns them whatever it is sent, drawing nothing."""
+    monkeypatch.setattr(channel, "transmit_counts", lambda *args, **kwargs: counts.copy())
+    return simulate_stream(np.zeros(counts.size, dtype=np.uint8), points, seed, thresholds)
+
+
+def erfc_above(theta: float, s2: float, counts) -> np.ndarray:
+    """Independent oracle: P(c + noise >= theta) = erfc((theta - c) / sqrt(2 s2)) / 2."""
+    return np.array([math.erfc((theta - c) / math.sqrt(2.0 * s2)) / 2 for c in counts])
+
+
+class TestNoisyDecisions:
+    # a noisy point decides a slot 1 with probability P(count + noise >=
+    # theta) given its noise-free count; each bound was fixed before the first run
+
+    def test_decisions_follow_the_noise_free_counts(self, params_03):
+        # one generator: transport, then the point's decision draw over the
+        # table of counts 0 .. max; the counts come straight from transport,
+        # one slot per bit
+        tx = np.random.default_rng(9).integers(0, 2, size=500, dtype=np.uint8)
+        noisy = replace(params_03, sigma_n2=4.0)
+        rng = np.random.default_rng(3)
+        counts = transmit_counts(tx, params_03, rng)
+        expected = channel._decide(
+            counts, channel._above(61.0 - np.arange(counts.max() + 1), 4.0), rng
+        )
+        (observed,) = _observe(tx, [noisy], np.random.default_rng(3))
+        (decisions,) = simulate_stream(tx, [noisy], 3, [61.0])
+        assert (observed == counts).all()
+        assert (decisions == expected).all() and 0 < decisions.sum() < tx.size
+
+    def test_per_count_rates_match_the_erfc_law(self, params_03, monkeypatch):
+        # 20,000 slots at each count 0 .. 139 around theta = 68.02 at s2 = 75:
+        # each count's 1s within 6 binomial SE plus one decision of the oracle
+        theta, s2, n = 68.02, 75.0, 20_000
+        counts = np.repeat(np.arange(140, dtype=np.int32), n)
+        point = replace(params_03, sigma_n2=s2)
+        (decisions,) = decide_counts(monkeypatch, counts, [point], [theta], 11)
+        ones = np.bincount(counts, weights=decisions)
+        for c, p in enumerate(erfc_above(theta, s2, range(140))):
+            assert abs(ones[c] - n * p) <= 6 * math.sqrt(n * p * (1 - p)) + 1, c
+
+    def test_silent_channel_rate_is_the_noise_tail(self, params_03):
+        # M = 0: every count is 0, so a slot decides 1 with probability
+        # erfc(theta / sqrt(2 s2)) / 2; 200,000 slots, within 5 binomial SE
+        theta, s2, slots = 10.0, 75.0, 200_000
+        tx = np.random.default_rng(1).integers(0, 2, size=slots, dtype=np.uint8)
+        (decisions,) = simulate_stream(tx, [replace(params_03, M=0, sigma_n2=s2)], 4, [theta])
+        p = math.erfc(theta / math.sqrt(2.0 * s2)) / 2
+        assert abs(int(decisions.sum()) - slots * p) <= 5 * math.sqrt(slots * p * (1 - p))
+
+    def test_noisy_points_decide_independently(self, params_03, monkeypatch):
+        # one count draw serves both points: independent draws make both 1
+        # with probability a1[c] a2[c], where one shared draw would give
+        # min(a1[c], a2[c]), ~20,000 more here; 201,000 slots over counts
+        # 40 .. 99, each sum within 5 SE
+        theta, s2 = 68.02, (30.0, 120.0)
+        counts = np.tile(np.arange(40, 100, dtype=np.int32), 3_350)
+        points = [replace(params_03, sigma_n2=s) for s in s2]
+        first, second = decide_counts(monkeypatch, counts, points, [theta] * 2, 7)
+        a1, a2 = (erfc_above(theta, s, range(100))[counts] for s in s2)
+        for got, q in ((first & second, a1 * a2), (first, a1), (second, a2)):
+            assert abs(int(got.sum()) - q.sum()) <= 5 * math.sqrt((q * (1 - q)).sum())
+
+    def test_certain_counts_decide_with_certainty(self, params_03, monkeypatch):
+        # at s2 = 1 the erfc tails round to 0 far from theta = 50, so counts
+        # 0 .. 11 decide 1 with probability 0 and 59 .. 100 with probability
+        # 1; 2^14 slots per count put cells on the top value 65535, which a
+        # P = 1 count resolves on a fix-up word
+        slots = 101 << 14
+        counts = np.repeat(np.arange(101, dtype=np.int32), 1 << 14)
+        above = channel._above(50.0 - np.arange(101), 1.0)[counts]
+        assert (above == 0).sum() == 12 << 14 and (above == 1).sum() == 42 << 14
+        point = replace(params_03, sigma_n2=1.0)
+        (decisions,) = decide_counts(monkeypatch, counts, [point], [50.0], 5)
+        cells = np.random.default_rng(5).bit_generator.random_raw(slots // 4).view(np.uint16)
+        assert (cells[above == 1] == 65535).any()
+        assert (decisions[above == 0] == 0).all() and (decisions[above == 1] == 1).all()
+
+    def test_tied_cells_resolve_on_a_fixup_word(self):
+        # above = 1/2 + 2^-17 spans 2^63 + 2^47 units of 2^-64: a cell below
+        # 32768 decides 1, above it 0, and a cell equal to it decides 1 when
+        # its fix-up word (drawn after every cell) has top 48 bits below 2^47
+        slots = 1 << 20
+        counts = np.zeros(slots, dtype=np.int32)
+        decisions = channel._decide(counts, np.array([0.5 + 2.0**-17]), np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        cells = rng.bit_generator.random_raw(slots // 4).view(np.uint16)
+        want = (cells < 32768).view(np.uint8)
+        tie = np.flatnonzero(cells == 32768)
+        want[tie] = rng.bit_generator.random_raw(tie.size) >> 16 < 1 << 47
+        assert set(want[tie].tolist()) == {0, 1}  # both outcomes of a tie occur
+        assert (decisions == want).all()
+
+    def test_noise_free_points_draw_nothing_after_transport(self, params_03, monkeypatch):
+        # the generator ends where the last transport call left it unless a
+        # point is noisy; so noise-free decisions are those of the counts alone
+        ends = []
+
+        def transport(tx, params, rng, *args, _original=channel.transmit_counts):
+            counts = _original(tx, params, rng, *args)
+            ends.append((rng, rng.bit_generator.state))
+            return counts
+
+        monkeypatch.setattr(channel, "transmit_counts", transport)
+        tx = np.random.default_rng(3).integers(0, 2, size=2_000, dtype=np.uint8)
+        for s2, draws in ((0.0, False), (60.0, True)):
+            points = [replace(params_03, M=150, sigma_n2=s2), replace(params_03, sigma_n2=s2)]
+            simulate_stream(tx, points, 1, [30.0, 60.0])
+            rng, state = ends[-1]
+            assert (rng.bit_generator.state != state) is draws
+
+    @pytest.mark.parametrize("s2", [0.0, 60.0])
+    def test_negative_threshold_rejected_before_transport(self, params_03, monkeypatch, s2):
+        monkeypatch.setattr(channel, "transmit_counts", None)  # never called
+        point = replace(params_03, sigma_n2=s2)
+        for theta in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                simulate_stream(np.ones(10, dtype=np.uint8), [point], 1, [theta])
+
+    def test_point_table_is_the_scored_row(self, monkeypatch):
+        # the decision table at a noisy point's threshold is, bit for bit,
+        # the row detection_threshold scored for that grid value
+        point = replace(BASE_03, ts=0.4, sigma_n2=75.0)
+        tables = []
+
+        def above(gap, s2, _original=channel._above):
+            tables.append(_original(gap, s2))
+            return tables[-1]
+
+        monkeypatch.setattr(channel, "_above", above)
+        theta = channel.detection_threshold(point, channel.slot_law(point, [0.5] * 39))
+        tx = np.random.default_rng(3).integers(0, 2, size=50_000, dtype=np.uint8)
+        simulate_stream(tx, [point], 4, [theta])
+        scored, table = tables
+        row = scored[np.flatnonzero(threshold_grid(point) == theta)[0]]
+        assert 0 < table.size <= row.size
+        assert table.tobytes() == row[: table.size].tobytes()
 
 class TestTransportLaw:
     """transmit_counts draws each emission's exact multinomial law; the
@@ -897,6 +1013,14 @@ class TestCalibration:
         slots = 12 * 200_000
         sd = np.sqrt(curve * (1 - curve) / slots)
         assert (np.abs(np.sum(errors, axis=0) / slots - curve) < 5 * sd).all()
+
+    def test_exact_picks_keep_every_bit(self):
+        # each PILOT_PICKS point's exact threshold to the last bit: the noise
+        # rule the grid scores is shared with the decision draw, and sharing
+        # it must not move a threshold
+        exact = [33.09277966747231, 50.05282924705187, 61.17568019084118, 67.28865199052703]
+        for (point, _), theta in zip(PILOT_PICKS, exact + [68.01923624236343] * 3, strict=True):
+            assert channel.detection_threshold(point, channel.slot_law(point, [0.5] * 39)) == theta
 
     @pytest.mark.parametrize("s2", [75.0, 120.0])
     def test_noisy_pilot_adds_the_noise_exactly(self, s2):

@@ -16,6 +16,7 @@ from isiecc import (
     message_matrix,
     run_ber_experiment,
     run_isi_experiment,
+    simulate_stream,
     slot_law,
     slot_probs,
     streaming_expected_isi,
@@ -94,6 +95,17 @@ class TestCoders:
         words = coder.encode(msgs)
         assert words.shape == (64, 10)
         assert (coder.decode(words) == msgs).all()
+
+    @pytest.mark.parametrize("k", [0, *range(1, 13)])
+    def test_every_word_received_as_sent_decodes_to_its_message(self, k):
+        # ber_point decodes only words holding a slot error, which is exact
+        # only if every word received as sent decodes to its own message:
+        # k = 0 stands for uncoded and rep3, then every ckm code with this k
+        labels = ["uncoded", "rep3"] if k == 0 else [f"ckm:{k},{m}" for m in range(k + 1, 41)]
+        for label, post_encoding in itertools.product(labels, (True, False)):
+            coder = make_coder(label, post_encoding=post_encoding)
+            msgs = message_matrix(coder.message_len)
+            assert np.array_equal(coder.decode(coder.encode(msgs)), msgs), (label, post_encoding)
 
     def test_post_encoding_flag_changes_words(self):
         raw = make_coder("ckm:4,5", post_encoding=False)
@@ -424,6 +436,30 @@ class TestBerExperiments:
         assert report_csv_text(run_ber_experiment(base, "ber-m")) == report_csv_text(
             run_ber_experiment(parallel, "ber-m")
         )
+
+    @pytest.mark.parametrize("label", ["uncoded", "rep3", "ckm:4,5"])
+    def test_only_words_holding_a_slot_error_are_decoded(self, params_03, label, monkeypatch):
+        # a spy on decode sees, block by block, exactly the words with a slot
+        # decided against its sent bit; the errors equal a full decode of the
+        # same decisions
+        point, theta = replace(params_03, M=150, sigma_n2=60.0), 33.0
+        config = small_config(point, codes=(label,), sweep=(60.0,), trials=3_000)
+        coder = make_coder(label)
+        seen, decode = [], coder.decode
+        monkeypatch.setattr(coder, "decode", lambda words: seen.append(words) or decode(words))
+        (errors,) = ber_point(coder, [point], 0, [theta], config)
+        jobs = harness._blocks(config.trials, config.block_size, coder.block_len)
+        assert len(seen) == len(jobs) > 1
+        full = 0
+        for job, decoded in zip(jobs, seen):
+            msgs, tx, key = harness._block_stream(coder, config.seed, 0, job)
+            (decisions,) = simulate_stream(tx, [point], key, [theta])
+            words = decisions.reshape(len(msgs), -1)
+            touched = (words != tx.reshape(len(msgs), -1)).any(axis=1)
+            assert 0 < touched.sum() < len(msgs)
+            assert np.array_equal(decoded, words[touched])
+            full += int((decode(words) != msgs).sum())
+        assert errors == full > 0
 
     def test_threshold_replay_reproduces_ber(self, params_03):
         config = small_config(params_03, codes=("ckm:4,5",), seed=5, sweep=(250.0,))
