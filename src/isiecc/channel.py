@@ -20,10 +20,10 @@ P(x, t) = Bin(M, p_1)(x) Bin(M - x, P_tail / (1 - p_1))(t) with P_tail =
 p_2 + ... + p_L, then each of those T molecules takes lag d with
 probability p_d / P_tail.  Both laws are drawn from guide tables over 2^16
 cells of their CDFs (Chen & Asau, AIIE Trans. 6(2), 1974).
-Receiver noise is zero-mean Gaussian: a slot decides 1 with probability
-P(count + noise >= theta), drawn from that exact law given its count.  The
-threshold is computed, not sampled: the count law of one slot is a
-convolution of binomial pmfs, which slot_law evaluates exactly.
+Receiver noise is zero-mean Gaussian: detect decides a slot 1 with
+probability P(count + noise >= theta), exactly given its count, and
+simulate_stream walks a stream's points in ascending M.  Thresholds are
+computed, not sampled, from slot_law's exact count law of one slot.
 """
 
 from __future__ import annotations
@@ -356,11 +356,11 @@ def transmit_counts(
 
 
 def _observe(tx_bits: np.ndarray, points, rng: np.random.Generator):
-    """Noise-free slot counts of tx_bits at each of `points`, which differ
-    only in M and sigma_n2 and come in ascending M: transport at the first M,
-    then each higher M adds the molecules not yet sent into the running
-    counts (independent multinomials sum to the multinomial of their total).
-    A yielded array is valid until the next one is drawn."""
+    """Noise-free slot counts of tx_bits at each of `points`, one channel at
+    ascending M (simulate_stream sorts them): transport at the first M, then
+    each higher M adds the molecules not yet sent into the running counts
+    (independent multinomials sum to the multinomial of their total).  A
+    yielded array is valid until the next one is drawn."""
     if len({replace(pt, M=0, sigma_n2=0.0) for pt in points}) != 1:
         raise ValueError("observed points must differ in M and sigma_n2 only")
     if any(a.M > b.M for a, b in itertools.pairwise(points)):
@@ -376,39 +376,23 @@ def _observe(tx_bits: np.ndarray, points, rng: np.random.Generator):
         yield counts
 
 
-def _decide(counts: np.ndarray, above: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-slot decisions, 1 with probability above[count] to 2^-64: a 16-bit
-    cell per slot below the top 16 bits of floor(above * 2^64), or equal and
-    a fix-up word's top 48 bits below the rest (2^48 at above = 1)."""
-    scaled = np.ldexp(above, 16)
-    top = np.minimum(np.floor(scaled), 65535)
-    rest = np.ldexp(scaled - top, 48).astype(np.uint64)  # exact: the bits below the top 16
-    top = np.take(top.astype(np.uint16), counts)
-    cells = rng.bit_generator.random_raw((counts.size + 3) // 4).view(np.uint16)[: counts.size]
-    out = (cells < top).view(np.uint8)
-    tie = np.flatnonzero(cells == top)
-    out[tie] = rng.bit_generator.random_raw(tie.size) >> 16 < rest[counts[tie]]
-    return out
-
-
 def simulate_stream(tx_bits, points, rng_seed, thresholds) -> list[np.ndarray]:
-    """Per-slot decisions at each of `points` over `_observe` (so ascending
-    M), for a 0/1 pattern sent as one slot stream, each slot hit by
-    interference from the slots before it: `detect` at a noise-free point's
-    threshold, else `_decide` over counts 0 .. max.  Identical seeds, same
-    decisions."""
+    """Per-slot decisions at each of `points`, in their order, of a 0/1
+    pattern sent as one slot stream, each slot hit by interference from the
+    slots before it: `detect` over `_observe`'s counts, drawn at the points
+    sorted stably by M.  Identical seeds, same decisions."""
     tx = np.asarray(tx_bits, dtype=np.uint8)
     if tx.size == 0:
         raise ValueError("need at least one transmitted slot")
+    if len(thresholds) != len(points):
+        raise ValueError(f"{len(points)} points, but {len(thresholds)} thresholds")
     if not all(theta >= 0 for theta in thresholds):  # also rejects NaN
         raise ValueError(f"thresholds must be non-negative, got {thresholds}")
+    order = sorted(range(len(points)), key=lambda i: points[i].M)
     rng = np.random.default_rng(rng_seed)
-    return [
-        _decide(c, _above(theta - np.arange(c.max() + 1), pt.sigma_n2), rng)
-        if pt.sigma_n2 > 0
-        else detect(c, theta)
-        for pt, c, theta in zip(points, _observe(tx, points, rng), thresholds, strict=True)
-    ]
+    observed = zip(order, _observe(tx, [points[i] for i in order], rng))
+    decided = {i: detect(c, thresholds[i], points[i].sigma_n2, rng) for i, c in observed}
+    return [decided[i] for i in range(len(points))]
 
 
 def slot_law(point: ChannelParams, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -437,7 +421,7 @@ def slot_law(point: ChannelParams, weights) -> tuple[np.ndarray, np.ndarray]:
 def _above(gap: np.ndarray, sigma_n2: float) -> np.ndarray:
     """P(count + noise >= theta) at each gap = theta - count: P(noise >= |gap|)
     straight from erfc, or its complement; a step at sigma_n2 = 0.  The noise
-    rule of detection_threshold's grid and of simulate_stream's decisions."""
+    rule of detection_threshold's grid and of detect's decisions."""
     if not sigma_n2 > 0:
         return (gap <= 0).astype(np.float64)
     z = np.abs(gap) / math.sqrt(2.0 * sigma_n2)
@@ -480,8 +464,25 @@ def calibrate_threshold(params: ChannelParams, pilot_length: int, rng_seed) -> f
     return detection_threshold(params, law)
 
 
-def detect(counts, threshold: float) -> np.ndarray:
-    """Per-slot decisions: 1 where the noise-free count reaches the threshold."""
+def detect(counts, threshold: float, sigma_n2: float = 0.0, rng=None) -> np.ndarray:
+    """Per-slot decisions, 1 with probability P(count + noise >= threshold):
+    noise-free, where the count reaches it, drawing nothing; noisy, over
+    integer counts, from rng to 2^-64 with the _above table of counts 0 ..
+    max, a 16-bit cell per slot below the top 16 bits of floor(above * 2^64),
+    or equal and a fix-up word's top 48 bits below the rest (2^48 at 1)."""
     if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be non-negative, got {threshold}")
-    return (np.asarray(counts) >= threshold).view(np.uint8)
+    counts = np.asarray(counts)
+    if not sigma_n2 > 0:
+        return (counts >= threshold).view(np.uint8)
+    if rng is None:
+        raise ValueError(f"sigma_n2 = {sigma_n2} needs a generator to draw the noise")
+    scaled = np.ldexp(_above(threshold - np.arange(counts.max(initial=0) + 1), sigma_n2), 16)
+    top = np.minimum(np.floor(scaled), 65535)
+    rest = np.ldexp(scaled - top, 48).astype(np.uint64)  # exact: the bits below the top 16
+    top = np.take(top.astype(np.uint16), counts)
+    cells = rng.bit_generator.random_raw((counts.size + 3) // 4).view(np.uint16)[: counts.size]
+    out = (cells < top).view(np.uint8)
+    tie = np.flatnonzero(cells == top)
+    out[tie] = rng.bit_generator.random_raw(tie.size) >> 16 < rest[counts[tie]]
+    return out

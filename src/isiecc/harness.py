@@ -11,22 +11,22 @@ transmitted_words), so the experiments never ask which one they hold.
 Every run is reproducible: _blocks, the one block rule, splits trials into
 blocks reduced in block order, so CSV bytes do not depend on the worker
 count.  Every generator is seeded by (seed, index, role, block): role 1 is a
-block's messages and 2 its channel (index = group, always 0), both keyed by
-_block_stream, the one block draw of BER and `isi`; role 0 is a sampled
-pilot's (index = point, block 0), run only with pilot_slots set.
+block's messages and 2 its channel (index 0), both keyed by _block_stream,
+the one block draw of BER and `isi`; role 0 is a sampled pilot's (index =
+point, block 0), run only with pilot_slots set.
 SeedSequence zero-pads a key shorter than 4 words, so (5, 1, 0) is (5, 1),
 but a longer key keeps its trailing zeros.  A seed of 2^32 or more spans
 two words, so its keys are one word longer than a smaller seed's and never
 equal them.
 
 BER is measured on decoded message bits by run_ber_experiment; its step,
-ber_point, runs one code over one group: every sweep point, in ascending M.
-A block draws words once and transport once per molecule increment, each
-higher M adding the molecules the lower ones did not send.  Blocks are
-encoded here, and the words holding a slot error decoded; the channel turns
-bit streams into slot decisions.  Each point's detection threshold is the
-exact error-minimizing one of an uncoded slot, from one slot law per
-noise-free point, shared by all codes at that point (in the CSV and manifest).
+ber_point, runs one code over every sweep point, in the sweep's order: a
+block's words are drawn and encoded once, the channel decides them at every
+point (walking the points in ascending M, so that transport is drawn once
+per molecule increment), and the words holding a slot error are decoded.
+Each point's detection threshold is the exact error-minimizing one of an
+uncoded slot, from one slot law per noise-free point, shared by all codes at
+that point (in the CSV and manifest).
 """
 
 from __future__ import annotations
@@ -162,13 +162,13 @@ def _blocks(trials: int, size: int, n: int) -> list[tuple[int, int]]:
     return list(enumerate(min(words, trials - start) for start in range(0, trials, words)))
 
 
-def _block_stream(coder, seed, group, job):
+def _block_stream(coder, seed, job):
     """(messages, transmitted slot stream, channel seed key) of one _blocks
     job: the only home of seed roles 1 (messages) and 2 (channel)."""
     block_idx, words = job
-    rng_msg = np.random.default_rng([seed, group, 1, block_idx])
+    rng_msg = np.random.default_rng([seed, 0, 1, block_idx])
     msgs = rng_msg.integers(0, 2, size=(words, coder.message_len), dtype=np.uint8)
-    return msgs, coder.encode(msgs).reshape(-1), [seed, group, 2, block_idx]
+    return msgs, coder.encode(msgs).reshape(-1), [seed, 0, 2, block_idx]
 
 
 def _map(workers: int, fn, jobs) -> list:
@@ -200,7 +200,7 @@ def _isi_mc_profile(coder, params: ChannelParams, trials: int, seed) -> np.ndarr
     tail = -(-(params.L - 1) // n)  # words whose lags may leave the block
     sums = np.zeros(n, dtype=np.float64)
     for job in _blocks(trials, DEFAULT_BLOCK_SIZE, n):
-        _, tx, key = _block_stream(coder, seed, 0, job)
+        _, tx, key = _block_stream(coder, seed, job)
         rng = np.random.default_rng(key)
         cut = max(0, job[1] - tail) * n
         ones = tx[:cut].reshape(-1, n).sum(axis=0, dtype=np.int64)
@@ -254,13 +254,13 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
 # BER experiments
 
 
-def ber_point(coder, points, group_idx, thresholds, config) -> list[int]:
-    """Bit errors of one code at each of `points` (ascending M), which share
+def ber_point(coder, points, thresholds, config) -> list[int]:
+    """Bit errors of one code at each of `points`, in their order, which share
     each block's words and transport, over config.trials words, decoding only
     the words with a slot error: one received as sent decodes to its message."""
 
     def block(job):
-        msgs, tx, key = _block_stream(coder, config.seed, group_idx, job)
+        msgs, tx, key = _block_stream(coder, config.seed, job)
         errors = []
         for d in simulate_stream(tx, points, key, thresholds):
             words = d.reshape(len(msgs), -1)
@@ -272,16 +272,16 @@ def ber_point(coder, points, group_idx, thresholds, config) -> list[int]:
     return [sum(errors) for errors in zip(*_map(config.workers, block, jobs))]
 
 
-def _thresholds(group, pis, config) -> list[float]:
-    """Detection thresholds of a group's points, indexed pis in the sweep:
-    each from the uncoded slot law of its noise-free point, computed once, or
-    with config.pilot_slots set, from a sampled pilot seeded by its point."""
+def _thresholds(points, config) -> list[float]:
+    """Detection thresholds of a sweep's points: each from the uncoded slot
+    law of its noise-free point, computed once, or with config.pilot_slots
+    set, from a sampled pilot seeded by its index in the sweep."""
     if config.pilot_slots:
-        keys = [[config.seed, pi, 0, 0] for pi in pis]
-        return [calibrate_threshold(pt, config.pilot_slots, k) for pt, k in zip(group, keys)]
-    keys = [replace(pt, sigma_n2=0.0) for pt in group]
+        keys = [[config.seed, pi, 0, 0] for pi in range(len(points))]
+        return [calibrate_threshold(pt, config.pilot_slots, k) for pt, k in zip(points, keys)]
+    keys = [replace(pt, sigma_n2=0.0) for pt in points]
     laws = {key: slot_law(key, [0.5] * (key.L - 1)) for key in dict.fromkeys(keys)}
-    return [detection_threshold(pt, laws[key]) for pt, key in zip(group, keys)]
+    return [detection_threshold(pt, laws[key]) for pt, key in zip(points, keys)]
 
 
 # BER experiment kind -> the swept ChannelParams field, CSV column and threshold key
@@ -300,35 +300,27 @@ def run_ber_experiment(config: ExperimentConfig, kind: str) -> TrialReport:
         raise ValueError(f"{kind} needs a non-empty sweep")
     coders = _coders(config)
     points = [replace(config.channel, **{swept: value}) for value in config.sweep]
-    # one group in ascending M (a stable sort: ber-noise keeps its order)
-    pis = sorted(range(len(points)), key=lambda pi: points[pi].M)
-    group = [points[pi] for pi in pis]
-    thetas = dict(zip(pis, _thresholds(group, pis, config)))
-    errors = {}
-    for ci, coder in enumerate(coders):
-        errs = ber_point(coder, group, 0, [thetas[pi] for pi in pis], config)
-        errors.update(zip([(ci, pi) for pi in pis], errs))
-    rows = []
-    for (ci, pi), errs in sorted(errors.items()):
-        pt, bits = points[pi], config.trials * coders[ci].message_len
-        rows.append(
-            {
-                "code": coders[ci].label,
-                "post_encoding": coders[ci].post_encoding_label,
-                "ts_s": pt.ts,
-                "L": pt.L,
-                "M": pt.M,
-                "sigma_n2": pt.sigma_n2,
-                "bits_sent": bits,
-                "bit_errors": errs,
-                "ber": errs / bits,
-                "threshold": thetas[pi],
-            }
-        )
+    thetas = _thresholds(points, config)
+    rows = [
+        {
+            "code": coder.label,
+            "post_encoding": coder.post_encoding_label,
+            "ts_s": pt.ts,
+            "L": pt.L,
+            "M": pt.M,
+            "sigma_n2": pt.sigma_n2,
+            "bits_sent": config.trials * coder.message_len,
+            "bit_errors": errs,
+            "ber": errs / (config.trials * coder.message_len),
+            "threshold": theta,
+        }
+        for coder in coders
+        for pt, theta, errs in zip(points, thetas, ber_point(coder, points, thetas, config))
+    ]
     manifest = {
         **_config_echo(config, kind),
         # one threshold per sweep point, shared by every code
-        **{f"threshold[{swept}={_fmt(config.sweep[i])}]": th for i, th in sorted(thetas.items())},
+        **{f"threshold[{swept}={_fmt(v)}]": th for v, th in zip(config.sweep, thetas)},
         "wall_clock_s": f"{time.monotonic() - t0:.3f}",
     }
     return TrialReport(tuple(rows), manifest)

@@ -410,9 +410,30 @@ class TestTransport:
                 simulate_stream(np.ones(10, dtype=np.uint8), points, 1, [1.0, 1.0])
 
     def test_observed_points_come_in_ascending_molecules(self, params_03):
+        # simulate_stream sorts its points; _observe takes them sorted only
         points = [params_03, replace(params_03, M=params_03.M - 1)]
         with pytest.raises(ValueError, match="ascending M"):
-            simulate_stream(np.ones(10, dtype=np.uint8), points, 1, [1.0, 1.0])
+            next(_observe(np.ones(10, dtype=np.uint8), points, np.random.default_rng(1)))
+
+    @pytest.mark.parametrize("s2", [0.0, 60.0])
+    def test_reversed_points_give_reversed_decisions(self, params_03, s2):
+        # the channel sorts the points by M itself, so any order draws the
+        # same counts and noise; each point's decisions come back in place
+        tx = np.random.default_rng(6).integers(0, 2, size=3_000, dtype=np.uint8)
+        points = [replace(params_03, M=m, sigma_n2=s2) for m in (150, 225, 300)]
+        thetas = [30.0, 46.0, 61.0]
+        forward = simulate_stream(tx, points, 4, thetas)
+        backward = simulate_stream(tx, points[::-1], 4, thetas[::-1])
+        assert len({d.tobytes() for d in forward}) == 3
+        for a, b in zip(forward, backward[::-1], strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_threshold_count_must_match_the_points(self, params_03, monkeypatch):
+        monkeypatch.setattr(channel, "transmit_counts", None)  # never called
+        points = [params_03, replace(params_03, M=150)]
+        for thetas in ([30.0], [30.0, 61.0, 61.0]):
+            with pytest.raises(ValueError, match="2 points, but"):
+                simulate_stream(np.ones(10, dtype=np.uint8), points, 1, thetas)
 
     def test_increments_keep_the_transport_law(self, params_03):
         # counts drawn as M1 = 100 molecules per 1, then M2 - M1 = 200 more,
@@ -586,16 +607,14 @@ class TestNoisyDecisions:
     # theta) given its noise-free count; each bound was fixed before the first run
 
     def test_decisions_follow_the_noise_free_counts(self, params_03):
-        # one generator: transport, then the point's decision draw over the
-        # table of counts 0 .. max; the counts come straight from transport,
-        # one slot per bit
+        # one generator: transport, then detect's draw over the table of
+        # counts 0 .. max; the counts come straight from transport, one slot
+        # per bit
         tx = np.random.default_rng(9).integers(0, 2, size=500, dtype=np.uint8)
         noisy = replace(params_03, sigma_n2=4.0)
         rng = np.random.default_rng(3)
         counts = transmit_counts(tx, params_03, rng)
-        expected = channel._decide(
-            counts, channel._above(61.0 - np.arange(counts.max() + 1), 4.0), rng
-        )
+        expected = detect(counts, 61.0, 4.0, rng)
         (observed,) = _observe(tx, [noisy], np.random.default_rng(3))
         (decisions,) = simulate_stream(tx, [noisy], 3, [61.0])
         assert (observed == counts).all()
@@ -649,13 +668,14 @@ class TestNoisyDecisions:
         assert (cells[above == 1] == 65535).any()
         assert (decisions[above == 0] == 0).all() and (decisions[above == 1] == 1).all()
 
-    def test_tied_cells_resolve_on_a_fixup_word(self):
+    def test_tied_cells_resolve_on_a_fixup_word(self, monkeypatch):
         # above = 1/2 + 2^-17 spans 2^63 + 2^47 units of 2^-64: a cell below
         # 32768 decides 1, above it 0, and a cell equal to it decides 1 when
         # its fix-up word (drawn after every cell) has top 48 bits below 2^47
         slots = 1 << 20
         counts = np.zeros(slots, dtype=np.int32)
-        decisions = channel._decide(counts, np.array([0.5 + 2.0**-17]), np.random.default_rng(2))
+        monkeypatch.setattr(channel, "_above", lambda gap, s2: np.array([0.5 + 2.0**-17]))
+        decisions = detect(counts, 1.0, 1.0, np.random.default_rng(2))
         rng = np.random.default_rng(2)
         cells = rng.bit_generator.random_raw(slots // 4).view(np.uint16)
         want = (cells < 32768).view(np.uint8)
@@ -1129,6 +1149,15 @@ class TestDetect:
         for threshold in (-0.5, math.nan):
             with pytest.raises(ValueError, match="non-negative"):
                 detect([1.0], threshold)
+
+    @pytest.mark.parametrize("s2", [0.0, 60.0])
+    def test_empty_counts_give_empty_decisions(self, s2):
+        decisions = detect(np.zeros(0, dtype=np.int32), 61.0, s2, np.random.default_rng(1))
+        assert decisions.dtype == np.uint8 and decisions.shape == (0,)
+
+    def test_noisy_decisions_need_a_generator(self):
+        with pytest.raises(ValueError, match="generator"):
+            detect(np.arange(5), 2.0, 60.0)
 
 
 CONFIG_TEXT = (

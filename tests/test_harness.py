@@ -264,7 +264,7 @@ class TestIsiExperiment:
     @pytest.mark.parametrize("label", ["rep3", "ckm:4,5"])
     def test_isi_block_is_the_ber_group_zero_block(self, params_03, label, monkeypatch):
         # one block plan and one seed layout: each isi block sends the words
-        # of the BER group-0 block of the same index, under its channel key
+        # of the BER block of the same index, under its channel key
         point = replace(params_03, sigma_n2=0.0)
         config = small_config(
             point, codes=(label,), trials=32_768, block_size=harness.DEFAULT_BLOCK_SIZE
@@ -282,7 +282,7 @@ class TestIsiExperiment:
             return msgs, tx, key
 
         monkeypatch.setattr(harness, "simulate_stream", ber_stream)
-        ber_point(coder, [point], 0, [1.0], config)
+        ber_point(coder, [point], [1.0], config)
         monkeypatch.setattr(harness, "_block_stream", isi_stream)
         harness._isi_mc_profile(coder, point, config.trials, config.seed)
         assert len(seen["isi"]) == len(seen["ber"]) == 2
@@ -312,7 +312,7 @@ class TestIsiExperiment:
         assert len(jobs) == 2 and len(seen) == 4
         for job, (tx, _, own) in zip(jobs * 2, seen):
             assert own is False
-            assert (tx == harness._block_stream(coder, seed, 0, job)[1][-tail * n :]).all()
+            assert (tx == harness._block_stream(coder, seed, job)[1][-tail * n :]).all()
         tails = sum(counts.reshape(-1, n).sum(axis=0) for _, counts, _ in seen[:2])
         assert tails.sum() > 0
         assert ((profiles[0] - profiles[1]) * trials == tails).all()
@@ -347,7 +347,7 @@ class TestIsiExperiment:
         n, trials, seeds = coder.block_len, 100, range(300)
 
         def transported(seed):
-            _, tx, key = harness._block_stream(coder, seed, 0, (0, trials))
+            _, tx, key = harness._block_stream(coder, seed, (0, trials))
             rng = np.random.default_rng(key)
             counts = channel.transmit_counts(tx, params_03, rng, include_own_slot=False)
             return counts.reshape(-1, n).sum(axis=0)
@@ -447,12 +447,12 @@ class TestBerExperiments:
         coder = make_coder(label)
         seen, decode = [], coder.decode
         monkeypatch.setattr(coder, "decode", lambda words: seen.append(words) or decode(words))
-        (errors,) = ber_point(coder, [point], 0, [theta], config)
+        (errors,) = ber_point(coder, [point], [theta], config)
         jobs = harness._blocks(config.trials, config.block_size, coder.block_len)
         assert len(seen) == len(jobs) > 1
         full = 0
         for job, decoded in zip(jobs, seen):
-            msgs, tx, key = harness._block_stream(coder, config.seed, 0, job)
+            msgs, tx, key = harness._block_stream(coder, config.seed, job)
             (decisions,) = simulate_stream(tx, [point], key, [theta])
             words = decisions.reshape(len(msgs), -1)
             touched = (words != tx.reshape(len(msgs), -1)).any(axis=1)
@@ -461,11 +461,34 @@ class TestBerExperiments:
             full += int((decode(words) != msgs).sum())
         assert errors == full > 0
 
+    @pytest.mark.parametrize(
+        "kind, sweep", [("ber-m", (250.0, 150.0, 200.0)), ("ber-noise", (60.0, 0.0, 30.0))]
+    )
+    def test_detect_decides_each_block_once_per_point(self, params_03, monkeypatch, kind, sweep):
+        # every slot decision, noisy or not, goes through channel.detect: one
+        # call per (block, point) over the block's slots, points in ascending M
+        calls, decide = [], channel.detect
+
+        def spy(counts, threshold, *args):
+            calls.append((counts.size, threshold, args[0]))
+            return decide(counts, threshold, *args)
+
+        monkeypatch.setattr(channel, "detect", spy)
+        config = small_config(params_03, sweep=sweep, trials=1_200)
+        first = run_ber_experiment(config, kind).rows[:3]  # one code's rows, in sweep order
+        points = [(r["threshold"], r["sigma_n2"]) for r in sorted(first, key=lambda r: r["M"])]
+        expected = []
+        for label in config.codes:
+            n = make_coder(label).block_len
+            for _, words in harness._blocks(config.trials, config.block_size, n):
+                expected += [(words * n, *point) for point in points]
+        assert calls == expected
+
     def test_threshold_replay_reproduces_ber(self, params_03):
         config = small_config(params_03, codes=("ckm:4,5",), seed=5, sweep=(250.0,))
         row = run_ber_experiment(config, "ber-m").rows[0]
         point = replace(params_03, M=250)
-        (replayed,) = ber_point(make_coder("ckm:4,5"), [point], 0, [row["threshold"]], config)
+        (replayed,) = ber_point(make_coder("ckm:4,5"), [point], [row["threshold"]], config)
         assert replayed == row["bit_errors"]
 
     def test_long_code_noise_csv_ignores_workers(self, params_03):
@@ -515,6 +538,24 @@ class TestBerExperiments:
             run_ber_experiment(small_config(params_03, sweep=sweep, trials=500), kind)
             info = channel._transport_tables.cache_info()
             assert info.misses == table_pairs and info.currsize == table_pairs, kind
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="channel._transport_tables caches 2 table pairs, so increments of three"
+        " sizes evict each other and rebuild at every block; ROADMAP item 6's fix,"
+        " tables keyed per run for its blocks, builds each pair once",
+    )
+    def test_three_increment_sizes_build_each_table_once(self, params_03):
+        # increments of 100, 125 and 75 molecules over 4 blocks: 3 table
+        # pairs, each needed by every block
+        config = small_config(
+            params_03, codes=("uncoded",), sweep=(100.0, 225.0, 300.0), trials=2_000
+        )
+        assert len(harness._blocks(config.trials, config.block_size, 1)) == 4
+        channel._transport_tables.cache_clear()
+        run_ber_experiment(config, "ber-m")
+        assert channel._transport_tables.cache_info().misses == 3
 
     def test_concurrent_workers_build_each_table_once(self, params_03, monkeypatch):
         # a slow build overlaps both workers' first blocks; the second worker
@@ -601,20 +642,15 @@ class TestBerExperiments:
         assert work.count("slot_law") == work.count("detection_threshold") == 3
 
         # each threshold is its point's own, and every row is what the whole
-        # sweep replayed in ascending M gives (ber_point's group 0)
-        thetas = {}
-        for value in config.sweep:
-            point = replace(params_03, M=value)
-            thetas[value] = detection_threshold(point, slot_law(point, [0.5] * 39))
-        ascending = sorted(config.sweep)
-        points = [replace(params_03, M=value) for value in ascending]
+        # sweep replayed through ber_point gives
+        points = [replace(params_03, M=value) for value in config.sweep]
+        thetas = [detection_threshold(pt, slot_law(pt, [0.5] * 39)) for pt in points]
         expected = []
         for label in config.codes:
             coder = make_coder(label)
-            errors = ber_point(coder, points, 0, [thetas[v] for v in ascending], config)
-            by_value = dict(zip(ascending, errors))
+            errors = ber_point(coder, points, thetas, config)
             bits = config.trials * coder.message_len
-            expected += [(label, v, bits, by_value[v], thetas[v]) for v in config.sweep]
+            expected += list(zip([label] * 3, config.sweep, [bits] * 3, errors, thetas))
         assert [
             (r["code"], r["M"], r["bits_sent"], r["bit_errors"], r["threshold"])
             for r in report.rows
@@ -691,7 +727,7 @@ class TestBerExperiments:
         assert short == long[0:2] + long[3:5]  # rows go code by code
 
     def test_noise_free_point_matches_ber_m_row(self, params_03):
-        # a ber-noise sweep's first point is group 0, as a one-point ber-m is
+        # a ber-noise sweep's first point draws what a one-point ber-m draws
         noise = small_config(params_03, codes=("ckm:4,5", "rep3"), sweep=(0.0, 90.0))
         single = small_config(params_03, codes=("ckm:4,5", "rep3"), sweep=(float(params_03.M),))
         noise_rows = run_ber_experiment(noise, "ber-noise").rows
@@ -817,11 +853,12 @@ def state(key) -> tuple:
 class TestSeedLayout:
     def test_block_stream_keys_messages_and_channel(self):
         coder = make_coder("ckm:4,5")
-        msgs, tx, key = harness._block_stream(coder, 5, 3, (7, 10))
-        rng = np.random.default_rng([5, 3, 1, 7])
+        # every BER and isi draw keys index 0
+        msgs, tx, key = harness._block_stream(coder, 5, (7, 10))
+        rng = np.random.default_rng([5, 0, 1, 7])
         assert (msgs == rng.integers(0, 2, size=(10, 4), dtype=np.uint8)).all()
         assert (tx == coder.encode(msgs).reshape(-1)).all()
-        assert key == [5, 3, 2, 7]
+        assert key == [5, 0, 2, 7]
 
     def test_trailing_zeros_do_not_change_a_stream(self):
         # SeedSequence zero-pads a key shorter than 4 words
@@ -841,7 +878,7 @@ class TestSeedLayout:
     def test_no_two_streams_of_a_run_share_a_seed(self, params_03, monkeypatch, kind):
         # every generator a run seeds, pilots and blocks alike, gets its own
         # stream.  Each code of a run replays the same keys, so one code; 3
-        # blocks per group (25,001 uncoded isi words make 2 default blocks)
+        # blocks (25,001 uncoded isi words make 2 default blocks)
         sweeps = {"ber-m": (150.0, 250.0), "ber-noise": (0.0, 60.0), "isi": ()}
         config = small_config(
             params_03, codes=("uncoded",), trials=1_200, block_size=500, sweep=sweeps[kind]
@@ -851,7 +888,7 @@ class TestSeedLayout:
             runs.append(replace(config, pilot_slots=10_000))
         for run, pilots in zip(runs, (0, 2)):
             keys = run_seed_keys(monkeypatch, run, kind)
-            # any pilots, then messages and channel per block of the one group
+            # any pilots, then messages and channel per block
             blocks = {"ber-m": 3 * 2, "ber-noise": 3 * 2, "isi": 2 * 2}[kind]
             assert len(keys) == pilots + blocks
             states = [state(key) for key in keys]
