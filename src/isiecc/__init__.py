@@ -30,8 +30,6 @@ from .channel import (
     simulate_stream,
     slot_law,
     slot_probs,
-    stream_average_isi,
-    streaming_expected_isi,
 )
 from .harness import (
     ExperimentConfig,

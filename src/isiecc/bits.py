@@ -24,10 +24,11 @@ def as_bits(bits) -> np.ndarray:
     """Coerce a str/sequence into a validated uint8 bit array."""
     if isinstance(bits, str):
         return parse_bits(bits)
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("bit sequence must be a non-empty 1-D array")
+    # checked before the cast, which would truncate 1.5 to 1 and wrap -1
     if not np.isin(arr, (0, 1)).all():
         raise ValueError("bit sequence may contain only 0 and 1")
-    return arr
+    return arr.astype(np.uint8)
 

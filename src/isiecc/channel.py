@@ -157,35 +157,15 @@ def isi_matrix(profile, n: int, stream: bool) -> np.ndarray:
     return np.triu(p[np.abs(gap)], 1)
 
 
-def expected_isi(words, i: int, profile) -> float:
-    """Mean interference hitting position i of a set of words from their
-    earlier 1s, summed as c_l * p_{i-l+1} over l < i.  Takes the rows of a
-    matrix, one 1-D word or the per-position densities of a code; pass
+def expected_isi(words, profile, stream: bool = False) -> np.ndarray:
+    """Mean interference at every position of a set of words from the 1s
+    before it: their per-position densities times isi_matrix, within each
+    word, or with stream, in an endless stream of them (exact for any bit
+    correlations, the interference being linear in the bits).  Takes the rows
+    of a matrix, one 1-D word or the per-position densities of a code; pass
     transmitted forms to evaluate the swapped code."""
     dens = np.atleast_2d(np.asarray(words)).mean(axis=0)
-    if not (1 <= i <= dens.size):
-        raise ValueError(f"position {i} outside 1..{dens.size}")
-    return float(dens @ isi_matrix(profile, dens.size, False)[:, i - 1])
-
-
-def streaming_expected_isi(densities, position: int, profile) -> float:
-    """Expected interference at one codeword position inside an endless
-    stream of codewords, extending the per-position densities periodically
-    into earlier codewords.  Exact for any bit correlations because the
-    interference is linear in the transmitted bits."""
-    dens = np.asarray(densities, dtype=np.float64)
-    n = dens.size
-    if not (1 <= position <= n):
-        raise ValueError(f"position {position} outside 1..{n}")
-    return float(dens @ isi_matrix(profile, n, True)[:, position - 1])
-
-
-def stream_average_isi(densities, profile) -> float:
-    """Per-slot expected interference of the streamed code, averaged over the
-    codeword period: the average bit-1 density times p_2 + ... + p_L, since
-    over one period each lag meets every position once."""
-    p = np.asarray(profile, dtype=np.float64)
-    return float(np.mean(densities)) * float(p[1:].sum())
+    return dens @ isi_matrix(profile, dens.size, stream)
 
 
 def codeword_isi_bound(codeword, profile, max_parity_weight: int, message_len: int) -> bool:
@@ -201,9 +181,11 @@ def codeword_isi_bound(codeword, profile, max_parity_weight: int, message_len: i
     if not 0 <= max_parity_weight < p.size:
         raise ValueError(f"cap of {max_parity_weight} is negative or beyond the channel memory")
     parity = np.array(codeword, dtype=np.float64)
+    if not 0 <= message_len <= parity.size:
+        raise ValueError(f"message length {message_len} outside 0..{parity.size}")
     parity[:message_len] = 0
     budget = p[1 : max_parity_weight + 1].sum()  # p_2 + ... + p_{cap+1}
-    return bool((parity @ isi_matrix(p, parity.size, False) <= budget + 1e-12).all())
+    return bool((expected_isi(parity, p) <= budget + 1e-12).all())
 
 
 class GuideTable:
@@ -472,11 +454,17 @@ def detect(counts, threshold: float, sigma_n2: float = 0.0, rng=None) -> np.ndar
     or equal and a fix-up word's top 48 bits below the rest (2^48 at 1)."""
     if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be non-negative, got {threshold}")
+    if not 0 <= sigma_n2 < math.inf:  # also rejects NaN
+        raise ValueError(f"sigma_n2 must be finite and non-negative, got {sigma_n2}")
     counts = np.asarray(counts)
     if not sigma_n2 > 0:
         return (counts >= threshold).view(np.uint8)
     if rng is None:
         raise ValueError(f"sigma_n2 = {sigma_n2} needs a generator to draw the noise")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"noisy decisions need integer counts, got {counts.dtype}")
+    if counts.min(initial=0) < 0:
+        raise ValueError(f"counts must be non-negative, got {counts.min()}")
     scaled = np.ldexp(_above(threshold - np.arange(counts.max(initial=0) + 1), sigma_n2), 16)
     top = np.minimum(np.floor(scaled), 65535)
     rest = np.ldexp(scaled - top, 48).astype(np.uint64)  # exact: the bits below the top 16

@@ -233,7 +233,7 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
             )
     rows = []
     for coder in coders:
-        dens = coder.transmitted_words().mean(axis=0)
+        analytic = params.M * expected_isi(coder.transmitted_words(), profile)
         mc = _isi_mc_profile(coder, params, config.trials, config.seed)
         for pos in range(1, coder.block_len + 1):
             rows.append(
@@ -242,7 +242,7 @@ def run_isi_experiment(config: ExperimentConfig) -> TrialReport:
                     "ts_s": params.ts,
                     "L": params.L,
                     "position": pos,
-                    "expected_isi_analytic": params.M * expected_isi(dens, pos, profile),
+                    "expected_isi_analytic": float(analytic[pos - 1]),
                     "expected_isi_mc": float(mc[pos - 1]),
                 }
             )

@@ -24,8 +24,6 @@ from isiecc import (
     message_matrix,
     parity_weight_cap,
     slot_probs,
-    stream_average_isi,
-    streaming_expected_isi,
     swap_gain,
     verify_min_distance,
 )
@@ -164,9 +162,9 @@ def test_criterion_07_swap_gains_nonpositive_and_exact():
 
 def test_criterion_08_expected_isi_ordering():
     t0 = time.monotonic()
-    last45 = expected_isi(build_codebook(4, 5).codewords, 10, PROFILE)
-    last56 = expected_isi(build_codebook(5, 6).codewords, 12, PROFILE)
-    rep3_stream = streaming_expected_isi(np.full(3, 0.5), 3, PROFILE)
+    last45 = expected_isi(build_codebook(4, 5).codewords, PROFILE)[9]
+    last56 = expected_isi(build_codebook(5, 6).codewords, PROFILE)[11]
+    rep3_stream = expected_isi(np.full(3, 0.5), PROFILE, stream=True)[2]
     gap = abs(last45 - last56) / min(last45, last56)
     elapsed = time.monotonic() - t0
     ok = last45 < rep3_stream and last56 < rep3_stream and gap < 0.10 and elapsed < 1.0
@@ -200,8 +198,8 @@ def test_criterion_09_rate_design():
 
     book6 = build_codebook(6, 23)
     book7 = build_codebook(7, 27)
-    avg6 = stream_average_isi(density_profile(book6), PROFILE)
-    avg7 = stream_average_isi(density_profile(book7), PROFILE)
+    avg6 = expected_isi(density_profile(book6), PROFILE, stream=True).mean()
+    avg7 = expected_isi(density_profile(book7), PROFILE, stream=True).mean()
     isi_ordered = avg7 < avg6
 
     budget_ok = all(

@@ -24,8 +24,6 @@ from isiecc import (
     load_channel_config,
     simulate_stream,
     slot_probs,
-    stream_average_isi,
-    streaming_expected_isi,
     swap_gain,
 )
 from isiecc import channel
@@ -120,45 +118,44 @@ class TestIsiOfSequence:
     """expected_isi of one 1-D word: that word's own interference."""
 
     def test_first_position_zero(self, profile_03):
-        assert expected_isi([1, 1, 1], 1, profile_03) == 0.0
+        assert expected_isi([1, 1, 1], profile_03)[0] == 0.0
 
     def test_single_term(self, profile_03):
-        assert expected_isi([1, 0], 2, profile_03) == pytest.approx(
-            profile_03[1], abs=0
-        )
+        assert expected_isi([1, 0], profile_03)[1] == pytest.approx(profile_03[1], abs=0)
 
     def test_two_terms(self, profile_03):
         expected = profile_03[2] + profile_03[1]
-        assert expected_isi([1, 1, 0], 3, profile_03) == pytest.approx(expected, abs=1e-15)
+        assert expected_isi([1, 1, 0], profile_03)[2] == pytest.approx(expected, abs=1e-15)
 
     def test_matches_brute_oracle(self, profile_03):
+        # 1-D words and matrices of words, from one slot up to n = L; the
+        # oracle averages a matrix's rows
+        L = profile_03.size
         rng = np.random.default_rng(3)
-        for _ in range(25):
-            word = rng.integers(0, 2, size=12)
-            i = int(rng.integers(1, 13))
-            assert expected_isi(word, i, profile_03) == pytest.approx(
-                isi_brute(word, i, profile_03), abs=1e-14
-            )
-
-    def test_position_out_of_range(self, profile_03):
-        with pytest.raises(ValueError):
-            expected_isi([1, 0], 3, profile_03)
-        with pytest.raises(ValueError):
-            expected_isi([1, 0], 0, profile_03)
+        for shape in [(12,)] * 25 + [(1,), (L,), (6, 12), (3, L)]:
+            words = rng.integers(0, 2, size=shape)
+            rows = np.atleast_2d(words)
+            brute = [
+                math.fsum(isi_brute(row, i, profile_03) for row in rows) / len(rows)
+                for i in range(1, rows.shape[1] + 1)
+            ]
+            assert expected_isi(words, profile_03) == pytest.approx(brute, abs=1e-14)
 
     def test_word_longer_than_memory_rejected(self, profile_03):
         with pytest.raises(ValueError, match="channel memory"):
-            expected_isi(np.zeros(profile_03.size + 1), 2, profile_03)
+            expected_isi(np.zeros(profile_03.size + 1), profile_03)
 
 
 class TestExpectedIsi:
     def test_all_zero_words(self, profile_03):
-        assert expected_isi(np.zeros((4, 8), dtype=np.uint8), 8, profile_03) == 0.0
+        words = np.zeros((4, 8), dtype=np.uint8)
+        for stream in (False, True):
+            assert (expected_isi(words, profile_03, stream) == 0.0).all()
 
     def test_single_word_equals_own_isi(self, profile_03):
         word = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-        assert expected_isi(word[None, :], 6, profile_03) == pytest.approx(
-            expected_isi(word, 6, profile_03), abs=1e-15
+        assert expected_isi(word[None, :], profile_03) == pytest.approx(
+            expected_isi(word, profile_03), abs=1e-15
         )
 
     def test_codebook_last_position_matches_brute_mean(self, profile_03):
@@ -166,50 +163,62 @@ class TestExpectedIsi:
         brute = math.fsum(
             isi_brute(row, 8, profile_03) for row in book.codewords
         ) / book.spec.size
-        assert expected_isi(book.codewords, 8, profile_03) == pytest.approx(brute, abs=1e-14)
+        assert expected_isi(book.codewords, profile_03)[-1] == pytest.approx(brute, abs=1e-14)
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_is_densities_times_the_isi_matrix(self, profile_03, stream):
+        # in both modes a matrix of words reads as its densities, bit for bit
+        words = build_codebook(4, 5).codewords
+        dens = words.mean(axis=0)
+        want = dens @ channel.isi_matrix(profile_03, dens.size, stream)
+        for given in (words, dens):
+            got = expected_isi(given, profile_03, stream)
+            assert got.shape == (10,) and (got == want).all()
 
 
 class TestStreamingIsi:
     def test_matches_long_unrolled_stream(self, profile_03):
-        # ckm:16,30's n = 47 slots outlast the channel memory L = 40
+        # one slot, where every lag lands on the same position; a 0/1 word;
+        # n = L = 40; and ckm:16,30's n = 47 slots, which outlast the memory
         p = profile_03
-        for dens in (np.array([0.5, 0.25, 0.125]), density_profile(build_codebook(16, 30))):
+        word = np.random.default_rng(5).integers(0, 2, size=12)
+        for dens in (
+            np.array([0.5]),
+            np.array([0.5, 0.25, 0.125]),
+            word,
+            np.random.default_rng(6).random(p.size),
+            density_profile(build_codebook(16, 30)),
+        ):
             n = dens.size
-            # unroll 30 periods and evaluate word 25 directly
-            unrolled = np.tile(dens, 30)
-            for position in range(1, n + 1):
-                pos = n * 25 + position  # 1-based
-                direct = math.fsum(unrolled[pos - 1 - g] * p[g] for g in range(1, len(p)))
-                assert streaming_expected_isi(dens, position, p) == pytest.approx(
-                    direct, abs=1e-14
-                )
-
-    @pytest.mark.parametrize("position", [0, 4])
-    def test_position_out_of_range(self, profile_03, position):
-        with pytest.raises(ValueError, match=f"position {position} outside 1..3"):
-            streaming_expected_isi(np.full(3, 0.5), position, profile_03)
+            # unroll enough periods to cover the memory and evaluate the last word directly
+            periods = -(-p.size // n) + 2
+            unrolled = np.tile(dens, periods)
+            base = n * (periods - 1)
+            direct = [
+                math.fsum(unrolled[base + position - 1 - g] * p[g] for g in range(1, len(p)))
+                for position in range(1, n + 1)
+            ]
+            assert expected_isi(dens, p, stream=True) == pytest.approx(direct, abs=1e-14)
 
     def test_uniform_density_closed_form(self, profile_03):
-        val = streaming_expected_isi(np.full(3, 0.5), 3, profile_03)
-        assert val == pytest.approx(0.5 * profile_03[1:].sum(), abs=1e-14)
+        val = expected_isi(np.full(3, 0.5), profile_03, stream=True)
+        assert val == pytest.approx([0.5 * profile_03[1:].sum()] * 3, abs=1e-14)
 
     def test_stream_average_is_density_scaled_tail_mass(self, profile_03):
+        # over one period each lag meets every position once
         book = build_codebook(4, 5)
         dens = book.codewords.sum(axis=0) / book.spec.size
-        avg = stream_average_isi(dens, profile_03)
-        per_pos = [
-            streaming_expected_isi(dens, pos, profile_03) for pos in range(1, 11)
-        ]
-        assert avg == pytest.approx(sum(per_pos) / 10, rel=1e-9)
+        per_pos = expected_isi(dens, profile_03, stream=True)
+        assert per_pos.mean() == pytest.approx(dens.mean() * profile_03[1:].sum(), rel=1e-9)
 
     @pytest.mark.parametrize(
         "k,m", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 23), (7, 27)]
     )
     def test_stream_average_is_mean_over_positions(self, k, m, profile_03):
         dens = density_profile(build_codebook(k, m))
-        per_pos = [streaming_expected_isi(dens, i, profile_03) for i in range(1, dens.size + 1)]
-        expected = math.fsum(per_pos) / dens.size
-        assert stream_average_isi(dens, profile_03) == pytest.approx(expected, rel=1e-15)
+        expected = math.fsum(expected_isi(dens, profile_03, stream=True)) / dens.size
+        closed_form = float(np.mean(dens)) * float(profile_03[1:].sum())
+        assert closed_form == pytest.approx(expected, rel=1e-15)
 
 
 class TestSwapGain:
@@ -253,9 +262,10 @@ class TestNetIsiGainFullSchedule:
         book = build_codebook(k, m)
         perm = swap_permutation(book.spec)
         swapped = book.codewords[:, perm]
-        affected = sorted({i + 1 for pair in swap_pairs(k) for i in pair})
-        before = math.fsum(expected_isi(book.codewords, i, profile_03) for i in affected)
-        after = math.fsum(expected_isi(swapped, i, profile_03) for i in affected)
+        # the positions after each swapped pair, 0-based
+        affected = sorted({i for pair in swap_pairs(k) for i in pair})
+        before = math.fsum(expected_isi(book.codewords, profile_03)[affected])
+        after = math.fsum(expected_isi(swapped, profile_03)[affected])
         assert after <= before + 1e-15
 
 
@@ -272,7 +282,7 @@ class TestExpectedIsiMatchesMonteCarlo:
             frames.reshape(-1), params_03, rng, include_own_slot=False
         ).reshape(trials, n + L)
         empirical = interference[:, n - 1].mean() / M
-        analytic = expected_isi(book.codewords, n, profile_03)
+        analytic = expected_isi(book.codewords, profile_03)[n - 1]
         assert empirical == pytest.approx(analytic, rel=0.02)
 
 
@@ -1158,6 +1168,21 @@ class TestDetect:
     def test_noisy_decisions_need_a_generator(self):
         with pytest.raises(ValueError, match="generator"):
             detect(np.arange(5), 2.0, 60.0)
+
+    @pytest.mark.parametrize("s2", [-5.0, math.nan, math.inf])
+    def test_invalid_noise_variance_rejected(self, s2):
+        for rng in (None, np.random.default_rng(1)):
+            with pytest.raises(ValueError, match="sigma_n2 must be finite and non-negative"):
+                detect(np.arange(3), 1.0, s2, rng)
+
+    def test_negative_noisy_count_rejected(self):
+        # np.take would wrap -1 to the table's last count
+        with pytest.raises(ValueError, match="counts must be non-negative, got -1"):
+            detect(np.array([-1, 2]), 1.0, 4.0, np.random.default_rng(1))
+
+    def test_float_noisy_counts_rejected(self):
+        with pytest.raises(ValueError, match="integer counts, got float64"):
+            detect(np.array([1.0, 2.0]), 1.0, 4.0, np.random.default_rng(1))
 
 
 CONFIG_TEXT = (

@@ -408,6 +408,13 @@ class TestCodewordIsiBudget:
                 codeword_isi_bound(np.zeros(30, dtype=np.uint8), profile_03, cap, 6)
         with pytest.raises(ValueError, match="longer than the slot profile"):
             codeword_isi_bound(np.zeros(L + 1, dtype=np.uint8), profile_03, 2, 6)
+        # a message length outside 0..n marks the wrong slots as parity:
+        # 00011010 breaks a cap of 2 with its message of 3
+        word = np.array([0, 0, 0, 1, 1, 0, 1, 0], dtype=np.uint8)
+        assert not codeword_isi_bound(word, profile_03, 2, 3)
+        for message_len in (-3, 9, 99):
+            with pytest.raises(ValueError, match=f"message length {message_len} outside 0..8"):
+                codeword_isi_bound(word, profile_03, 2, message_len)
 
 
 class TestCsvExport:

@@ -168,7 +168,15 @@ class TestEncode:
 
     @pytest.mark.parametrize(
         "bits, message",
-        [([], "non-empty 1-D"), ([[0, 1, 1]], "non-empty 1-D"), ([0, 2, 1], "only 0 and 1")],
+        [
+            ([], "non-empty 1-D"),
+            ([[0, 1, 1]], "non-empty 1-D"),
+            ([0, 2, 1], "only 0 and 1"),
+            # values a uint8 cast would truncate or wrap
+            ([1.5, 0, 1], "only 0 and 1"),
+            ([0.2, 1, 1], "only 0 and 1"),
+            ([-1, 0, 1], "only 0 and 1"),
+        ],
     )
     def test_malformed_bit_arrays_rejected(self, bits, message):
         with pytest.raises(ValueError, match=message):
@@ -181,6 +189,11 @@ class TestDecode:
     def test_no_error(self):
         spec = CodeSpec(3, 4)
         assert bits_to_str(decode("01010010", spec)) == "011"
+
+    def test_fractional_word_rejected(self):
+        # cast to uint8, it would read as all zeros and decode to 000
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            decode([0.9] * 8, CodeSpec(3, 4))
 
     def test_message_bit_error_corrected(self):
         spec = CodeSpec(3, 4)

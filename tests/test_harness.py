@@ -19,7 +19,6 @@ from isiecc import (
     simulate_stream,
     slot_law,
     slot_probs,
-    streaming_expected_isi,
     write_report,
 )
 from isiecc import channel, harness
@@ -203,7 +202,7 @@ class TestIsiExperiment:
         last = report.rows[-1]
         assert last["position"] == 10
         assert last["expected_isi_analytic"] == pytest.approx(
-            params_03.M * expected_isi(words, 10, profile), abs=1e-12
+            params_03.M * expected_isi(words, profile)[9], abs=1e-12
         )
         # streamed estimate sits near the analytic value, above it because
         # earlier codewords also interfere
@@ -211,6 +210,24 @@ class TestIsiExperiment:
             last["expected_isi_analytic"], rel=0.45
         )
         assert last["expected_isi_mc"] > 0
+
+    def test_analytic_column_is_one_call_per_code(self, params_03, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return expected_isi(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "expected_isi", spy)
+        labels = ("uncoded", "rep3", "ckm:4,5")
+        config = small_config(params_03, codes=labels, trials=500, **ISI)
+        rows = run_isi_experiment(config).rows
+        assert len(calls) == len(labels)
+        profile = slot_probs(params_03)
+        for label in labels:
+            words = make_coder(label).transmitted_words()
+            column = [row["expected_isi_analytic"] for row in rows if row["code"] == label]
+            assert column == (params_03.M * expected_isi(words, profile)).tolist()
 
     def test_zero_molecules_zero_isi(self, params_03):
         config = small_config(
@@ -248,10 +265,7 @@ class TestIsiExperiment:
         coder = make_coder(label)
         profile = slot_probs(params_03)
         densities = coder.transmitted_words().mean(axis=0)
-        positions = range(1, coder.block_len + 1)
-        exact = params_03.M * np.array(
-            [streaming_expected_isi(densities, pos, profile) for pos in positions]
-        )
+        exact = params_03.M * expected_isi(densities, profile, stream=True)
         blocks = np.array(
             [
                 harness._isi_mc_profile(coder, params_03, harness.DEFAULT_BLOCK_SIZE, seed)

@@ -13,8 +13,8 @@ PUBLIC = {
     "density_profile", "design_for_rate", "detect", "detection_threshold", "encode",
     "expected_isi", "export_codebook_csv", "hitting_prob", "load_channel_config", "make_coder",
     "message_matrix", "parity_weight_cap", "parse_bits", "run_ber_experiment",
-    "run_isi_experiment", "simulate_stream", "slot_law", "slot_probs", "stream_average_isi",
-    "streaming_expected_isi", "swap_gain", "verify_min_distance", "write_report",
+    "run_isi_experiment", "simulate_stream", "slot_law", "slot_probs", "swap_gain",
+    "verify_min_distance", "write_report",
 }
 
 
