@@ -124,8 +124,8 @@ def hitting_prob(t: float, params: ChannelParams) -> float:
 
     Nondecreasing in t, zero at t = 0, approaching r/r0 as t grows.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    if not t >= 0:  # also rejects NaN
+        raise ValueError(f"time must be non-negative, got {t}")
     if t == 0:
         return 0.0
     return (params.r / params.r0) * math.erfc(
@@ -146,15 +146,13 @@ def slot_probs(params: ChannelParams) -> np.ndarray:
 
 def isi_matrix(profile, n: int, stream: bool) -> np.ndarray:
     """(n, n) lag-to-position map of an n-slot word: entry (i, j) sums p_{g+1}
-    over the lags g = 1 .. L-1 that take position i to j, j = (i + g) mod n
-    in an endless stream, j = i + g < n in an isolated word (n <= L)."""
+    over the lags g = 1 .. L-1 with j = (i + g) mod period, an endless stream
+    of period n, or of period n + L - 1 for an isolated word, whose L - 1
+    silent slots wrap no lag back into it (lags of L or more carry nothing)."""
     p = np.asarray(profile, dtype=np.float64)
-    gap = np.arange(n) - np.arange(n)[:, None]  # j - i
-    if stream:
-        return np.bincount(np.arange(1, p.size) % n, weights=p[1:], minlength=n)[gap % n]
-    if n > p.size:
-        raise ValueError(f"{n} slots: longer than the slot profile (channel memory L={p.size})")
-    return np.triu(p[np.abs(gap)], 1)
+    period = n if stream else n + p.size - 1
+    shares = np.bincount(np.arange(1, p.size) % period, weights=p[1:], minlength=period)
+    return shares[(np.arange(n) - np.arange(n)[:, None]) % period]
 
 
 def expected_isi(words, profile, stream: bool = False) -> np.ndarray:
@@ -164,7 +162,10 @@ def expected_isi(words, profile, stream: bool = False) -> np.ndarray:
     correlations, the interference being linear in the bits).  Takes the rows
     of a matrix, one 1-D word or the per-position densities of a code; pass
     transmitted forms to evaluate the swapped code."""
-    dens = np.atleast_2d(np.asarray(words)).mean(axis=0)
+    words = np.asarray(words)
+    if words.ndim > 2:
+        raise ValueError(f"takes a word, a matrix of words or densities, not {words.ndim}-D")
+    dens = np.atleast_2d(words).mean(axis=0)
     return dens @ isi_matrix(profile, dens.size, stream)
 
 
@@ -178,13 +179,16 @@ def codeword_isi_bound(codeword, profile, max_parity_weight: int, message_len: i
     cause, which is the worst arrangement a weight-capped parity allows.
     """
     p = np.asarray(profile, dtype=np.float64)
-    if not 0 <= max_parity_weight < p.size:
-        raise ValueError(f"cap of {max_parity_weight} is negative or beyond the channel memory")
     parity = np.array(codeword, dtype=np.float64)
+    for name, value in (("max_parity_weight", max_parity_weight), ("message_len", message_len)):
+        if not isinstance(value, int | np.integer):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if max_parity_weight < 0:
+        raise ValueError(f"cap of {max_parity_weight} parity 1s is negative")
     if not 0 <= message_len <= parity.size:
         raise ValueError(f"message length {message_len} outside 0..{parity.size}")
     parity[:message_len] = 0
-    budget = p[1 : max_parity_weight + 1].sum()  # p_2 + ... + p_{cap+1}
+    budget = p[1 : max_parity_weight + 1].sum()  # p_2 + ... + p_{cap+1}, cut at p_L
     return bool((expected_isi(parity, p) <= budget + 1e-12).all())
 
 

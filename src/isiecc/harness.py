@@ -109,8 +109,14 @@ class ExperimentConfig:
     pilot_slots: int = 0  # 0: exact thresholds; else sampled from pilots of this many slots
 
     def __post_init__(self):
+        if isinstance(self.codes, str):
+            raise ValueError(f"codes must be a sequence of labels, got the string {self.codes!r}")
         if not self.codes:
             raise ValueError("select at least one code")
+        for name in ("seed", "trials", "workers", "block_size", "pilot_slots"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int | np.integer):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:

@@ -28,8 +28,11 @@ def enumerate_weight_class(m: int, i: int) -> np.ndarray:
 
 
 def isi_brute(word, i: int, p) -> float:
-    """Independent oracle: direct summation of c_l * p_{i-l+1}."""
-    return math.fsum(float(word[l - 1]) * float(p[i - l]) for l in range(1, i))
+    """Independent oracle: direct summation of c_l * p_{i-l+1}, reading p as
+    0 past p_L (a molecule not absorbed within L slots is never seen)."""
+    return math.fsum(
+        float(word[l - 1]) * float(p[i - l]) for l in range(1, i) if i - l < len(p)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -15,10 +15,12 @@ import pytest
 from conftest import isi_brute, multinomial_counts, pilot_errors, threshold_grid
 from isiecc import (
     ChannelParams,
+    CodeSpec,
     build_codebook,
     calibrate_threshold,
     density_profile,
     detect,
+    encode,
     expected_isi,
     hitting_prob,
     load_channel_config,
@@ -80,8 +82,9 @@ class TestHittingProb:
         assert all(0.0 <= v < 0.5 for v in vals)
 
     def test_negative_time_rejected(self, params_03):
-        with pytest.raises(ValueError):
-            hitting_prob(-1.0, params_03)
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="time must be non-negative"):
+                hitting_prob(t, params_03)
 
     def test_erfc_against_series_oracle(self):
         pts = [0.0, 0.01, 0.05, 0.1, 0.2, 0.3622, 0.5, 0.51224, 0.7, 1.0,
@@ -141,9 +144,12 @@ class TestIsiOfSequence:
             ]
             assert expected_isi(words, profile_03) == pytest.approx(brute, abs=1e-14)
 
-    def test_word_longer_than_memory_rejected(self, profile_03):
-        with pytest.raises(ValueError, match="channel memory"):
-            expected_isi(np.zeros(profile_03.size + 1), profile_03)
+    def test_word_longer_than_memory_matches_the_oracle(self, profile_03):
+        # a word of L + 1 slots: its last position sees lags 1 .. L-1 only
+        word = np.random.default_rng(5).integers(0, 2, size=profile_03.size + 1)
+        word[0] = 1  # the one 1 that would reach L slots on
+        brute = [isi_brute(word, i, profile_03) for i in range(1, word.size + 1)]
+        assert expected_isi(word, profile_03) == pytest.approx(brute, abs=1e-14)
 
 
 class TestExpectedIsi:
@@ -174,6 +180,10 @@ class TestExpectedIsi:
         for given in (words, dens):
             got = expected_isi(given, profile_03, stream)
             assert got.shape == (10,) and (got == want).all()
+
+    def test_three_dimensions_rejected(self, profile_03):
+        with pytest.raises(ValueError, match="a word, a matrix of words or densities, not 3-D"):
+            expected_isi(np.ones((2, 3, 4)), profile_03)
 
 
 class TestStreamingIsi:
@@ -329,6 +339,28 @@ class TestTransport:
         M = params_03.M
         se = np.sqrt(M * p * (1 - p) / trials)
         assert (np.abs(mean - M * p) <= 4 * se).all()
+
+    @pytest.mark.parametrize("L", [3, 40])
+    def test_interference_past_the_memory_matches_expected_isi(self, params_03, L):
+        # words longer than L: transport drops what lands L or more slots on,
+        # and expected_isi's kernel cuts there too.  Mean interference counts
+        # over 2,000 seeds within 5 SE of M * expected_isi at every slot
+        # (bound fixed before the first run)
+        point = replace(params_03, L=L)
+        if L == 3:
+            word = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        else:
+            word = encode(np.random.default_rng(47).integers(0, 2, 16), CodeSpec(16, 30))
+        assert word.size > L
+        runs = np.array(
+            [
+                transmit_counts(word, point, np.random.default_rng(seed), include_own_slot=False)
+                for seed in range(2_000)
+            ]
+        )
+        se = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
+        exact = point.M * expected_isi(word, slot_probs(point))
+        assert (np.abs(runs.mean(axis=0) - exact) <= 5 * se).all()
 
     @pytest.mark.parametrize("M", [127, 128, 150, 211, 32_767, 32_768, 100_000])
     def test_memoryless_channel_counts_are_whole_and_bounded(self, params_03, M):

@@ -398,16 +398,25 @@ class TestCodewordIsiBudget:
         assert codeword_isi_bound(word, profile_03, 2, 6)
 
     def test_inputs_beyond_the_memory_rejected(self, profile_03):
-        from isiecc import codeword_isi_bound
+        from isiecc import codeword_isi_bound, expected_isi
 
-        # a cap of L parity 1s, or a word of L + 1 slots, reaches past p_L;
-        # a negative cap bounds nothing
+        # past the memory nothing lands: a cap of L parity 1s (or more) has
+        # the budget p_2 + ... + p_L, which a parity run of L + 1 slots
+        # reaches at its last position, while a cap of L - 2 lacks p_L
         L = profile_03.size
-        for cap in (L, -1, -5):
-            with pytest.raises(ValueError, match="negative or beyond the channel memory"):
+        run = np.ones(L + 1, dtype=np.uint8)
+        tail = profile_03[1:].sum()
+        assert expected_isi(run, profile_03)[-1] == pytest.approx(tail, abs=1e-15)
+        for cap in (L, 10 * L):
+            assert codeword_isi_bound(run, profile_03, cap, 0)
+        assert not codeword_isi_bound(run, profile_03, L - 2, 0)
+        # a negative cap bounds nothing; a float is no count of 1s or slots
+        for cap in (-1, -5):
+            with pytest.raises(ValueError, match=f"cap of {cap} parity 1s is negative"):
                 codeword_isi_bound(np.zeros(30, dtype=np.uint8), profile_03, cap, 6)
-        with pytest.raises(ValueError, match="longer than the slot profile"):
-            codeword_isi_bound(np.zeros(L + 1, dtype=np.uint8), profile_03, 2, 6)
+        for name, args in (("max_parity_weight", (2.0, 6)), ("message_len", (2, 3.0))):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                codeword_isi_bound(np.zeros(30, dtype=np.uint8), profile_03, *args)
         # a message length outside 0..n marks the wrong slots as parity:
         # 00011010 breaks a cap of 2 with its message of 3
         word = np.array([0, 0, 0, 1, 1, 0, 1, 0], dtype=np.uint8)

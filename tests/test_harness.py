@@ -336,10 +336,6 @@ class TestIsiExperiment:
     @pytest.mark.parametrize("L", [1, 2, 40])
     def test_isi_matrix_and_rest_match_a_loop_over_lags(self, params_03, L, n, stream):
         p = slot_probs(replace(params_03, L=L))
-        if n > L and not stream:  # an isolated word's lags would reach past p_L
-            with pytest.raises(ValueError, match="longer than the slot profile"):
-                channel.isi_matrix(p, n, stream)
-            return
         share = channel.isi_matrix(p, n, stream)
         assert share.shape == (n, n)
         for i in range(n):
@@ -940,6 +936,26 @@ class TestConfigValidation:
     def test_non_positive_run_sizes_rejected(self, params_03, field, value):
         with pytest.raises(ValueError, match="workers and block_size must be positive"):
             small_config(params_03, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 100.5),
+            ("block_size", 50.5),
+            ("seed", 1.5),
+            ("workers", 2.5),
+            ("workers", True),
+            ("pilot_slots", 10_000.0),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, params_03, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            small_config(params_03, **{field: value})
+
+    def test_bare_string_of_codes_rejected(self, params_03):
+        # a string is a sequence of one-letter labels; name it, not its 'r'
+        with pytest.raises(ValueError, match="codes must be a sequence of labels.*'rep3'"):
+            small_config(params_03, codes="rep3")
 
     def test_repeated_sweep_value_rejected(self, params_03):
         # two points at one value would compute two thresholds for one manifest line
